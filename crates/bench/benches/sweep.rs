@@ -10,7 +10,7 @@
 //!
 //! Three modes, mirroring `benches/solver.rs`:
 //!
-//! * default — criterion harness: batched DC sweeps per (K, backend).
+//! * default — criterion harness: batched DC sweeps per K.
 //! * `--format json` — hand-timed medians as the `sna-bench-sweep-v1`
 //!   document checked in as `BENCH_sweep.json`. The headline number is
 //!   `marginal_vs_cold`: per-corner marginal cost `(T_K - T_1)/(K-1)`
@@ -24,7 +24,6 @@ use std::time::Instant;
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use sna_interconnect::prelude::*;
 use sna_obs::{local_snapshot, Metric};
-use sna_spice::backend::BackendKind;
 use sna_spice::dc::{dc_operating_point, NewtonOptions};
 use sna_spice::netlist::Circuit;
 use sna_spice::prelude::{SolverKind, SourceWaveform};
@@ -77,8 +76,7 @@ fn median_secs<F: FnMut()>(reps: usize, mut f: F) -> f64 {
 const SEGMENTS: usize = 100;
 
 /// Discretization of the large case: 500 segments per wire puts the pair
-/// at 1003 MNA unknowns, the scale the ROADMAP's backend-comparison
-/// follow-up asks for.
+/// at 1003 MNA unknowns.
 const LARGE_SEGMENTS: usize = 500;
 
 /// `sna-obs` counter deltas of one batched DC sweep — how much Newton and
@@ -93,7 +91,6 @@ struct SweepCounters {
 struct SweepCase {
     segments: usize,
     k: usize,
-    backend: BackendKind,
     unknowns: usize,
     cold_solve_ms: f64,
     batched_total_ms: f64,
@@ -103,17 +100,11 @@ struct SweepCase {
     counters: SweepCounters,
 }
 
-/// Measure one (K, backend) point at the given bus discretization: cold
+/// Measure one K point at the given bus discretization: cold
 /// serial per-corner cost, total batched sweep cost, and the
 /// batched-vs-serial deviation. `segments = 100` gives the paper-scale
 /// ~200-unknown case; `segments = 500` the 1003-unknown stress case.
-fn run_case(
-    segments: usize,
-    k: usize,
-    backend: BackendKind,
-    reps: usize,
-    t1_ms: Option<f64>,
-) -> SweepCase {
+fn run_case(segments: usize, k: usize, reps: usize, t1_ms: Option<f64>) -> SweepCase {
     let newton = NewtonOptions::default();
     let lanes = corner_lanes(segments, k);
     // Cold cost: assemble + analyze + solve one corner from scratch, the
@@ -122,7 +113,7 @@ fn run_case(
         * median_secs(reps, || {
             std::hint::black_box(dc_operating_point(&lanes[0], &newton, None).unwrap());
         });
-    let mut sweep = BatchedSweep::new(&lanes, SolverKind::Auto, backend).unwrap();
+    let mut sweep = BatchedSweep::new(&lanes, SolverKind::Auto).unwrap();
     let unknowns = sweep.dim();
     sweep.dc_operating_points(&lanes, &newton, None).unwrap();
     let batched_total_ms = 1e3
@@ -155,7 +146,6 @@ fn run_case(
     SweepCase {
         segments,
         k,
-        backend,
         unknowns,
         cold_solve_ms,
         batched_total_ms,
@@ -182,7 +172,7 @@ fn emit_json(cases: &[SweepCase]) {
     for (i, c) in cases.iter().enumerate() {
         let comma = if i + 1 < cases.len() { "," } else { "" };
         println!(
-            "    {{\"segments\": {}, \"k\": {}, \"backend\": \"{:?}\", \"unknowns\": {}, \
+            "    {{\"segments\": {}, \"k\": {}, \"unknowns\": {}, \
              \"cold_solve_ms\": {:.4}, \"batched_total_ms\": {:.4}, \
              \"marginal_per_corner_ms\": {}, \"marginal_vs_cold\": {}, \
              \"max_dev_vs_serial\": {:.3e}, \
@@ -190,7 +180,6 @@ fn emit_json(cases: &[SweepCase]) {
              \"lane_newton_iterations\": {}, \"serial_fallbacks\": {}}}}}{}",
             c.segments,
             c.k,
-            c.backend,
             c.unknowns,
             c.cold_solve_ms,
             c.batched_total_ms,
@@ -210,26 +199,24 @@ fn emit_json(cases: &[SweepCase]) {
 
 /// Smoke mode for CI: deterministic assertions only.
 fn self_test() {
-    for backend in [BackendKind::Scalar, BackendKind::Batched] {
-        let c = run_case(SEGMENTS, 4, backend, 1, None);
-        assert!(
-            c.unknowns > 100,
-            "bus fixture shrank to {} unknowns",
-            c.unknowns
-        );
-        assert!(
-            c.max_dev_vs_serial < 1e-9,
-            "{backend:?}: batched corners deviate {:.3e} from serial solves",
-            c.max_dev_vs_serial
-        );
-        // Counter deltas cover exactly the one snapshotted sweep call.
-        assert_eq!(c.counters.sweep_calls, 1);
-        assert_eq!(c.counters.lanes, c.k as u64);
-        println!(
-            "sweep smoke [{backend:?}]: {} unknowns, K={}, dev {:.2e} — ok",
-            c.unknowns, c.k, c.max_dev_vs_serial
-        );
-    }
+    let c = run_case(SEGMENTS, 4, 1, None);
+    assert!(
+        c.unknowns > 100,
+        "bus fixture shrank to {} unknowns",
+        c.unknowns
+    );
+    assert!(
+        c.max_dev_vs_serial < 1e-9,
+        "batched corners deviate {:.3e} from serial solves",
+        c.max_dev_vs_serial
+    );
+    // Counter deltas cover exactly the one snapshotted sweep call.
+    assert_eq!(c.counters.sweep_calls, 1);
+    assert_eq!(c.counters.lanes, c.k as u64);
+    println!(
+        "sweep smoke: {} unknowns, K={}, dev {:.2e} — ok",
+        c.unknowns, c.k, c.max_dev_vs_serial
+    );
     println!("sweep bench self-test: OK");
 }
 
@@ -243,14 +230,12 @@ fn bench_sweep(c: &mut Criterion) {
             b.iter(|| dc_operating_point(&lanes[0], &newton, None).unwrap())
         });
     }
-    for backend in [BackendKind::Scalar, BackendKind::Batched] {
-        for k in [1usize, 4, 16] {
-            let lanes = corner_lanes(SEGMENTS, k);
-            let mut sweep = BatchedSweep::new(&lanes, SolverKind::Auto, backend).unwrap();
-            group.bench_function(BenchmarkId::new(format!("{backend:?}"), k), |b| {
-                b.iter(|| sweep.dc_operating_points(&lanes, &newton, None).unwrap())
-            });
-        }
+    for k in [1usize, 4, 16] {
+        let lanes = corner_lanes(SEGMENTS, k);
+        let mut sweep = BatchedSweep::new(&lanes, SolverKind::Auto).unwrap();
+        group.bench_function(BenchmarkId::new("batched", k), |b| {
+            b.iter(|| sweep.dc_operating_points(&lanes, &newton, None).unwrap())
+        });
     }
     group.finish();
 }
@@ -270,23 +255,19 @@ fn main() {
         .any(|w| w[0] == "--format" && w[1] == "json");
     if json {
         let mut cases = Vec::new();
-        for backend in [BackendKind::Scalar, BackendKind::Batched] {
-            let t1 = run_case(SEGMENTS, 1, backend, 9, None);
-            let t1_ms = t1.batched_total_ms;
-            cases.push(t1);
-            for k in [4usize, 16] {
-                cases.push(run_case(SEGMENTS, k, backend, 7, Some(t1_ms)));
-            }
+        let t1 = run_case(SEGMENTS, 1, 9, None);
+        let t1_ms = t1.batched_total_ms;
+        cases.push(t1);
+        for k in [4usize, 16] {
+            cases.push(run_case(SEGMENTS, k, 7, Some(t1_ms)));
         }
         // The 1003-unknown stress case: same topology at 500 segments per
-        // wire, K=4 and K=16 geometry corners, both backends.
-        for backend in [BackendKind::Scalar, BackendKind::Batched] {
-            let t1 = run_case(LARGE_SEGMENTS, 1, backend, 3, None);
-            let t1_ms = t1.batched_total_ms;
-            cases.push(t1);
-            for k in [4usize, 16] {
-                cases.push(run_case(LARGE_SEGMENTS, k, backend, 3, Some(t1_ms)));
-            }
+        // wire, K=4 and K=16 geometry corners.
+        let t1 = run_case(LARGE_SEGMENTS, 1, 3, None);
+        let t1_ms = t1.batched_total_ms;
+        cases.push(t1);
+        for k in [4usize, 16] {
+            cases.push(run_case(LARGE_SEGMENTS, k, 3, Some(t1_ms)));
         }
         emit_json(&cases);
         return;

@@ -90,7 +90,7 @@ pub fn characterize_load_curve(
             Ok(ckt)
         })
         .collect::<Result<_>>()?;
-    let mut sweep = BatchedSweep::new(&lanes, opts.newton.solver, opts.backend)?;
+    let mut sweep = BatchedSweep::new(&lanes, opts.newton.solver)?;
 
     let mut values = Vec::with_capacity(vin_axis.len() * vout_axis.len());
     let mut warm: Option<Vec<Vec<f64>>> = None;

@@ -48,8 +48,7 @@ pub struct CharacterizeOptions {
     /// Newton controls for the underlying analyses (including the linear
     /// solver selection, `newton.solver`).
     pub newton: NewtonOptions,
-    /// Compute backend for the K-lane batched sweeps the grid/height scans
-    /// run on (bit-identical results across backends).
+    /// Read by no analysis; see [`BackendKind`].
     pub backend: BackendKind,
 }
 

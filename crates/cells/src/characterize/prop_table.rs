@@ -124,9 +124,9 @@ pub fn characterize_propagated_noise(
     )
 }
 
-/// [`characterize_propagated_noise`] with explicit solver/backend controls
-/// (`opts.newton.solver` picks the linear solver, `opts.backend` the
-/// compute backend of the batched height sweep).
+/// [`characterize_propagated_noise`] with explicit solver controls
+/// (`opts.newton.solver` picks the linear solver of the batched height
+/// sweep).
 ///
 /// # Errors
 ///
@@ -166,7 +166,7 @@ pub fn characterize_propagated_noise_with(
     // column is a single batched transient over `heights.len()` lanes that
     // differ only in the glitch source waveform.
     let mut lanes: Vec<Circuit> = heights.iter().map(|_| fx.ckt.clone()).collect();
-    let mut sweep = BatchedSweep::new(&lanes, opts.newton.solver, opts.backend)?;
+    let mut sweep = BatchedSweep::new(&lanes, opts.newton.solver)?;
     for (wi, &w) in widths.iter().enumerate() {
         let t_start = 50e-12;
         for (lane, &h) in lanes.iter_mut().zip(heights) {

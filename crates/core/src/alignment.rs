@@ -139,8 +139,8 @@ pub fn worst_case_alignment(model: &ClusterMacromodel, window: f64) -> Result<Al
 /// `simulate_macromodel` calls. The golden-section refinement is
 /// inherently sequential (each probe depends on the previous
 /// comparison), so those probes run as single-lane batched calls —
-/// keeping the whole search on one arithmetic path, so the result is
-/// identical on either [`BackendKind`].
+/// keeping the whole search on one arithmetic path. The last argument is
+/// ignored (see [`BackendKind`]).
 ///
 /// The probe *sequence* (and therefore `evaluations`) is identical to
 /// the serial search; only the LU arithmetic differs (batched plane vs
@@ -153,7 +153,7 @@ pub fn worst_case_alignment(model: &ClusterMacromodel, window: f64) -> Result<Al
 pub fn worst_case_alignment_batched(
     model: &ClusterMacromodel,
     window: f64,
-    backend: BackendKind,
+    _backend: BackendKind,
 ) -> Result<AlignmentResult> {
     let n_agg = model.spec.aggressors.len();
     let newton = NewtonOptions::default();
@@ -168,7 +168,7 @@ pub fn worst_case_alignment_batched(
     // Evaluate a batch of timing assignments, returning DP metrics per lane.
     let eval_batch = |lanes: &[TimingLane], evals: &mut usize| -> Result<Vec<GlitchMetrics>> {
         *evals += lanes.len();
-        let waves = simulate_macromodel_timings(model, lanes, &newton, backend)?;
+        let waves = simulate_macromodel_timings(model, lanes, &newton)?;
         Ok(waves
             .iter()
             .map(|w| w.dp.glitch_metrics(model.q_out))
@@ -312,8 +312,7 @@ mod tests {
         }
         let model = ClusterMacromodel::build(&spec).unwrap();
         let serial = worst_case_alignment(&model, 700.0 * PS).unwrap();
-        let batched =
-            worst_case_alignment_batched(&model, 700.0 * PS, BackendKind::Scalar).unwrap();
+        let batched = worst_case_alignment_batched(&model, 700.0 * PS, Default::default()).unwrap();
         // Identical probe sequence — only the LU arithmetic differs.
         assert_eq!(batched.evaluations, serial.evaluations);
         assert!(
@@ -328,13 +327,6 @@ mod tests {
                 "switch times diverged: {b} vs {s}"
             );
         }
-        // Backends are bit-identical on the batched path.
-        let b2 = worst_case_alignment_batched(&model, 700.0 * PS, BackendKind::Batched).unwrap();
-        assert_eq!(
-            b2.dp_metrics.peak.to_bits(),
-            batched.dp_metrics.peak.to_bits()
-        );
-        assert_eq!(b2.switch_times, batched.switch_times);
     }
 
     #[test]

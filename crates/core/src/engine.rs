@@ -19,7 +19,7 @@
 //! `benches/golden_vs_macro.rs`).
 
 use sna_cells::characterize::TheveninDriver;
-use sna_spice::backend::{backend_for, BackendKind, BatchedDenseLu};
+use sna_spice::backend::BatchedDenseLu;
 use sna_spice::dc::NewtonOptions;
 use sna_spice::devices::SourceWaveform;
 use sna_spice::error::{Error, Result};
@@ -253,23 +253,20 @@ pub struct TimingLane {
 }
 
 /// Integrate the cluster macromodel at `lanes.len()` timing assignments
-/// simultaneously, K lanes wide, through the [`ComputeBackend`] seam.
+/// simultaneously, K lanes wide.
 ///
 /// Characterization artifacts (`Ĝ`/`Ĉ`/`B̂`, the Eq.-1 table, Thevenin
 /// fits) are timing-independent, so every lane shares one effective
 /// conductance and one trapezoidal step matrix; only the injections
 /// `u(t)` and the Newton states differ per lane. The per-step Newton
 /// iteration stamps all lane Jacobians into one [`BatchedDenseLu`] plane
-/// and factors/solves them in a single backend call. Converged lanes
+/// and factors/solves them in a single lane-outer call. Converged lanes
 /// freeze (their state stops updating and their Jacobian slot is stamped
 /// to identity), so each lane's arithmetic sequence is **independent of
 /// which other lanes share the batch** — a candidate evaluated alone,
-/// in a K=4 batch, or in a K=8 batch produces bit-identical waveforms,
-/// on either backend. This is what lets the FRAME pruned and exhaustive
-/// enumerations produce byte-identical reports for the candidates they
-/// share.
-///
-/// [`ComputeBackend`]: sna_spice::backend::ComputeBackend
+/// in a K=4 batch, or in a K=8 batch produces bit-identical waveforms.
+/// This is what lets the FRAME pruned and exhaustive enumerations produce
+/// byte-identical reports for the candidates they share.
 ///
 /// # Errors
 ///
@@ -283,7 +280,6 @@ pub fn simulate_macromodel_timings(
     model: &ClusterMacromodel,
     lanes: &[TimingLane],
     newton: &NewtonOptions,
-    backend: BackendKind,
 ) -> Result<Vec<NoiseWaveforms>> {
     if lanes.is_empty() {
         return Ok(Vec::new());
@@ -296,7 +292,6 @@ pub fn simulate_macromodel_timings(
     let n_steps = (t_stop / dt).round() as usize;
     let vic = model.victim_dp_port();
     let kl = lanes.len();
-    let be = backend_for(backend);
 
     // Per-lane event data: shifted Thevenin fits and the (possibly
     // re-peaked) victim-input waveform — the cheap part of `with_timing`.
@@ -427,12 +422,12 @@ pub fn simulate_macromodel_timings(
                     }
                 }
             }
-            if let Err(lane) = be.dense_factor(jac) {
+            if let Err(lane) = jac.factor() {
                 return Err(Error::InvalidAnalysis(format!(
                     "noise-engine-batched: singular Jacobian in lane {lane}"
                 )));
             }
-            be.dense_solve(jac, rhs_plane, dx_plane);
+            jac.solve(rhs_plane, dx_plane);
             for (lane, frz) in frozen.iter_mut().enumerate() {
                 if *frz {
                     continue;
@@ -644,9 +639,7 @@ mod tests {
             switch_times: vec![t],
             glitch_peak: None,
         };
-        let solo =
-            simulate_macromodel_timings(&model, &[lane(0.5 * NS)], &newton, BackendKind::Scalar)
-                .unwrap();
+        let solo = simulate_macromodel_timings(&model, &[lane(0.5 * NS)], &newton).unwrap();
         let batch = simulate_macromodel_timings(
             &model,
             &[
@@ -656,7 +649,6 @@ mod tests {
                 lane(1.1 * NS),
             ],
             &newton,
-            BackendKind::Scalar,
         )
         .unwrap();
         let a = solo[0].receiver.values();
@@ -666,27 +658,6 @@ mod tests {
             assert_eq!(x.to_bits(), y.to_bits(), "lane diverged across batches");
         }
         assert_eq!(solo[0].newton_iterations, batch[1].newton_iterations);
-        // And across backends.
-        let inner = simulate_macromodel_timings(
-            &model,
-            &[
-                lane(0.3 * NS),
-                lane(0.5 * NS),
-                lane(0.8 * NS),
-                lane(1.1 * NS),
-            ],
-            &newton,
-            BackendKind::Batched,
-        )
-        .unwrap();
-        for (x, y) in batch[1]
-            .receiver
-            .values()
-            .iter()
-            .zip(inner[1].receiver.values())
-        {
-            assert_eq!(x.to_bits(), y.to_bits(), "backends diverged");
-        }
     }
 
     #[test]
@@ -701,7 +672,6 @@ mod tests {
                 glitch_peak: None,
             }],
             &NewtonOptions::default(),
-            BackendKind::Scalar,
         )
         .unwrap();
         let sm = serial.dp_metrics(model.q_out);

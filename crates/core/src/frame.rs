@@ -214,6 +214,7 @@ fn candidate_times(
 /// `grid` is the number of window sample points per constrained
 /// aggressor; `exhaustive` simulates every structural candidate instead
 /// of pruning (the FRAME baseline — counters then show zero pruning).
+/// The last argument is ignored (see [`BackendKind`]).
 ///
 /// # Errors
 ///
@@ -224,7 +225,7 @@ pub fn constrained_worst_case(
     nrc: &NoiseRejectionCurve,
     grid: usize,
     exhaustive: bool,
-    backend: BackendKind,
+    _backend: BackendKind,
 ) -> Result<FrameOutcome> {
     let sets = choice_sets(model, grid);
     let mut counters = FrameCounters::default();
@@ -281,7 +282,7 @@ pub fn constrained_worst_case(
                 glitch_peak: None,
             })
             .collect();
-        let waves = simulate_macromodel_timings(model, &lanes, &newton, backend)?;
+        let waves = simulate_macromodel_timings(model, &lanes, &newton)?;
         for (off, w) in waves.iter().enumerate() {
             let rm = w.receiver.glitch_metrics(model.q_out);
             let margin = nrc.margin(rm.width, rm.peak);
@@ -338,7 +339,7 @@ mod tests {
         assert!(sets.is_empty());
         // The degenerate enumeration still evaluates exactly one
         // candidate: everything at nominal.
-        let out = constrained_worst_case(&model, &nrc(), 4, false, BackendKind::Scalar).unwrap();
+        let out = constrained_worst_case(&model, &nrc(), 4, false, Default::default()).unwrap();
         assert_eq!(out.counters.considered, 1);
         assert_eq!(out.counters.simulated, 1);
         assert_eq!(out.counters.pruned_window + out.counters.pruned_mexcl, 0);
@@ -356,7 +357,7 @@ mod tests {
         spec.aggressors[1].window = Some(SwitchingWindow::new(2.4 * NS, 2.6 * NS));
         spec.victim.sensitivity = Some(SwitchingWindow::new(0.0, 1.2 * NS));
         let model = ClusterMacromodel::build(&spec).unwrap();
-        let out = constrained_worst_case(&model, &nrc(), 2, false, BackendKind::Scalar).unwrap();
+        let out = constrained_worst_case(&model, &nrc(), 2, false, Default::default()).unwrap();
         // Choice sets: {Off, t1, t2} × {Off, t1, t2} = 9 candidates.
         assert_eq!(out.counters.considered, 9);
         // Aggressor 1's window misses the sensitivity window entirely:
@@ -378,7 +379,7 @@ mod tests {
         spec.aggressors[0].mexcl_group = Some(7);
         spec.aggressors[1].mexcl_group = Some(7);
         let model = ClusterMacromodel::build(&spec).unwrap();
-        let out = constrained_worst_case(&model, &nrc(), 4, false, BackendKind::Scalar).unwrap();
+        let out = constrained_worst_case(&model, &nrc(), 4, false, Default::default()).unwrap();
         // {Off, nominal} × {Off, nominal}: the both-switch candidate is
         // the only mexcl violation.
         assert_eq!(out.counters.considered, 4);
@@ -395,8 +396,8 @@ mod tests {
         spec.aggressors[1].mexcl_group = Some(7);
         let model = ClusterMacromodel::build(&spec).unwrap();
         let n = nrc();
-        let pruned = constrained_worst_case(&model, &n, 4, false, BackendKind::Scalar).unwrap();
-        let full = constrained_worst_case(&model, &n, 4, true, BackendKind::Scalar).unwrap();
+        let pruned = constrained_worst_case(&model, &n, 4, false, Default::default()).unwrap();
+        let full = constrained_worst_case(&model, &n, 4, true, Default::default()).unwrap();
         assert_eq!(full.counters.simulated, full.counters.considered);
         assert_eq!(full.counters.pruned_window + full.counters.pruned_mexcl, 0);
         // Exhaustive explores a superset: margin can only be <= pruned's,
@@ -412,16 +413,13 @@ mod tests {
         spec.aggressors[1].window = Some(SwitchingWindow::new(0.2 * NS, 0.7 * NS));
         let model = ClusterMacromodel::build(&spec).unwrap();
         let n = nrc();
-        let pruned = constrained_worst_case(&model, &n, 3, false, BackendKind::Scalar).unwrap();
-        let full = constrained_worst_case(&model, &n, 3, true, BackendKind::Scalar).unwrap();
+        let pruned = constrained_worst_case(&model, &n, 3, false, Default::default()).unwrap();
+        let full = constrained_worst_case(&model, &n, 3, true, Default::default()).unwrap();
         assert_eq!(pruned.counters.pruned_window, 0);
         assert_eq!(pruned.counters.pruned_mexcl, 0);
         assert_eq!(pruned.counters.simulated, full.counters.simulated);
         assert_eq!(pruned.margin.to_bits(), full.margin.to_bits());
         assert_eq!(pruned.switch_times, full.switch_times);
-        // And the backends agree bit-for-bit too.
-        let batched = constrained_worst_case(&model, &n, 3, false, BackendKind::Batched).unwrap();
-        assert_eq!(pruned.margin.to_bits(), batched.margin.to_bits());
     }
 
     use proptest::prelude::*;
@@ -455,9 +453,9 @@ mod tests {
             let model = ClusterMacromodel::build(&spec).unwrap();
             let n = nrc();
             let pruned =
-                constrained_worst_case(&model, &n, 2, false, BackendKind::Scalar).unwrap();
+                constrained_worst_case(&model, &n, 2, false, Default::default()).unwrap();
             let full =
-                constrained_worst_case(&model, &n, 2, true, BackendKind::Scalar).unwrap();
+                constrained_worst_case(&model, &n, 2, true, Default::default()).unwrap();
             prop_assert!(
                 pruned.margin >= full.margin,
                 "constrained {} more pessimistic than exhaustive {}",
@@ -493,9 +491,9 @@ mod tests {
             let model = ClusterMacromodel::build(&spec).unwrap();
             let n = nrc();
             let pruned =
-                constrained_worst_case(&model, &n, grid, false, BackendKind::Scalar).unwrap();
+                constrained_worst_case(&model, &n, grid, false, Default::default()).unwrap();
             let full =
-                constrained_worst_case(&model, &n, grid, true, BackendKind::Scalar).unwrap();
+                constrained_worst_case(&model, &n, grid, true, Default::default()).unwrap();
             prop_assert_eq!(pruned.counters.pruned_window, 0);
             prop_assert_eq!(pruned.counters.pruned_mexcl, 0);
             prop_assert_eq!(pruned.counters.simulated, full.counters.simulated);
@@ -519,7 +517,7 @@ mod tests {
         spec.aggressors[0].window = Some(SwitchingWindow::new(0.0, 1.0 * NS));
         spec.aggressors[1].window = Some(SwitchingWindow::new(0.0, 1.0 * NS));
         let model = ClusterMacromodel::build(&spec).unwrap();
-        let err = constrained_worst_case(&model, &nrc(), 600, false, BackendKind::Scalar);
+        let err = constrained_worst_case(&model, &nrc(), 600, false, Default::default());
         assert!(err.is_err());
     }
 }

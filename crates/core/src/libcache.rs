@@ -53,6 +53,7 @@ use sna_cells::characterize::{LoadCurve, PropagatedNoiseTable, TheveninDriver};
 use sna_cells::{CellType, DriverMode};
 use sna_spice::devices::{SourceWaveform, Table2d};
 use sna_spice::error::{Error, Result};
+use sna_spice::fnv::Fnv;
 
 use super::{
     ArtifactKind, CellIdent, CellKey, Entry, NoiseModelLibrary, NrcKey, TheveninKey,
@@ -78,12 +79,6 @@ pub struct DiskLoadStats {
     pub stale_rejected: usize,
     /// Inserted entries per [`ArtifactKind`], indexed by discriminant.
     pub per_kind_loaded: [usize; ARTIFACT_KIND_COUNT],
-}
-
-fn fnv_bytes(bytes: &[u8]) -> u64 {
-    let mut h = super::Fnv::new();
-    h.write_bytes(bytes);
-    h.finish()
 }
 
 fn corrupt(what: &str) -> Error {
@@ -630,10 +625,10 @@ fn write_section(w: &mut ByteWriter, mut entries: Vec<(Vec<u8>, Vec<u8>)>) {
     for (k, v) in entries {
         w.u32(k.len() as u32);
         w.bytes(&k);
-        w.u64(fnv_bytes(&k));
+        w.u64(Fnv::hash_bytes(&k));
         w.u32(v.len() as u32);
         w.bytes(&v);
-        w.u64(fnv_bytes(&v));
+        w.u64(Fnv::hash_bytes(&v));
     }
 }
 
@@ -790,8 +785,8 @@ impl NoiseModelLibrary {
                 let key_fp = r.u64()?;
                 let val = r.len_prefixed()?;
                 let val_fp = r.u64()?;
-                let ok = fnv_bytes(key) == key_fp
-                    && fnv_bytes(val) == val_fp
+                let ok = Fnv::hash_bytes(key) == key_fp
+                    && Fnv::hash_bytes(val) == val_fp
                     && self.insert_cache_entry(kind, key, val);
                 if ok {
                     out.loaded += 1;

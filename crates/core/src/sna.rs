@@ -255,7 +255,7 @@ pub fn analyze_cluster(
 ) -> Result<ClusterFinding> {
     let model = ClusterMacromodel::build_with_library(&cluster.spec, mm_opts, library)?;
     let waves = if opts.align_worst_case {
-        let res = worst_case_alignment_batched(&model, opts.align_window, mm_opts.backend)?;
+        let res = worst_case_alignment_batched(&model, opts.align_window, Default::default())?;
         let timed = model.with_timing(&res.switch_times, res.glitch_peak_time);
         simulate_macromodel(&timed)?
     } else {
@@ -278,7 +278,7 @@ pub fn analyze_cluster(
             nrc,
             opts.frame_grid,
             opts.frame_exhaustive,
-            mm_opts.backend,
+            Default::default(),
         )?)
     } else {
         None

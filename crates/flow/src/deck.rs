@@ -11,15 +11,14 @@
 //! victim-node difference between the lanes is the injected noise waveform;
 //! [`GlitchMetrics`] of that difference against a zero baseline give
 //! peak/width/area, and `margin = threshold − peak` drives the verdict.
-//! Because both lanes share one factorization and one value plane, the noise
-//! is exact to the last bit regardless of backend, and the per-case work is
-//! embarrassingly parallel — reports are byte-identical across thread counts.
+//! Both lanes share one factorization and one value plane, and the per-case
+//! work is embarrassingly parallel — reports are byte-identical across
+//! thread counts.
 
 use std::path::Path;
 
 use sna_core::sna::Verdict;
 use sna_obs::Metric;
-use sna_spice::backend::BackendKind;
 use sna_spice::devices::SourceWaveform;
 use sna_spice::error::{Error, Result};
 use sna_spice::netlist::Element;
@@ -49,8 +48,6 @@ pub struct DeckOptions {
     pub threads: usize,
     /// Linear-solver backend shared by both lanes.
     pub solver: SolverKind,
-    /// Compute backend for the batched kernels.
-    pub backend: BackendKind,
 }
 
 impl Default for DeckOptions {
@@ -63,7 +60,6 @@ impl Default for DeckOptions {
             strict: false,
             threads: 1,
             solver: SolverKind::Auto,
-            backend: BackendKind::default(),
         }
     }
 }
@@ -244,7 +240,7 @@ fn analyze_case(parsed: &ParsedDeck, card: &SnaCard, opts: &DeckOptions) -> Resu
     }
 
     let lanes = [noisy, quiet];
-    let mut sweep = BatchedSweep::new(&lanes, opts.solver, opts.backend)?;
+    let mut sweep = BatchedSweep::new(&lanes, opts.solver)?;
     let mut params = *tran;
     params.solver = opts.solver;
     let ics = parsed.resolve_ics();

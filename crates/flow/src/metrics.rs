@@ -26,33 +26,7 @@ use sna_core::library::{LibraryStats, ALL_ARTIFACT_KINDS, SHARD_COUNT};
 use sna_obs::{Metric, Snapshot};
 
 use crate::corners::CornerReport;
-
-/// JSON string escaping per RFC 8259 (quotes, backslashes, control chars).
-/// Shared with the `serve` responder, which emits the same dialect.
-pub(crate) fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// A float as a JSON value: `null` for the non-finite values JSON lacks.
-fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".into()
-    }
-}
+use crate::output::{esc, num};
 
 fn ms(nanos: u64) -> String {
     num(nanos as f64 / 1e6)

@@ -35,19 +35,19 @@ use std::sync::Arc;
 
 use sna_cells::Cell;
 use sna_core::cluster::{ClusterSpec, MacromodelOptions, SwitchingWindow};
-use sna_core::library::{opts_fingerprint, solver_code, tech_fingerprint, Fnv, NoiseModelLibrary};
+use sna_core::library::{opts_fingerprint, solver_code, tech_fingerprint, NoiseModelLibrary};
 use sna_core::nrc::NoiseRejectionCurve;
 use sna_core::sna::{analyze_cluster, ClusterFinding, Design, SnaOptions};
 use sna_obs::Metric;
 use sna_spice::error::{Error, Result};
+use sna_spice::fnv::Fnv;
 use sna_spice::units::PS;
 
 use crate::cache::{load_library_cache, save_library_cache};
 use crate::cli::{CliConfig, LogLevel};
 use crate::corners::{corner_by_name, NRC_WIDTHS};
 use crate::driver::FlowOptions;
-use crate::metrics::esc;
-use crate::output::verdict_tag;
+use crate::output::{esc, verdict_tag};
 use crate::pool::{auto_threads, parallel_map_ordered};
 
 // ---------------------------------------------------------------------------
@@ -312,9 +312,7 @@ fn window_fp(h: &mut Fnv, w: Option<SwitchingWindow>) {
 }
 
 /// FNV fingerprint of everything a cluster's finding depends on: the full
-/// [`ClusterSpec`] plus the analysis options. The compute backend is
-/// deliberately excluded — backends are bit-identical by construction, so
-/// switching one must not invalidate the memo.
+/// [`ClusterSpec`] plus the analysis options.
 fn cluster_fingerprint(spec: &ClusterSpec, sna: &SnaOptions, mm: &MacromodelOptions) -> u64 {
     let mut h = Fnv::new();
     h.write_u64(tech_fingerprint(&spec.tech));
@@ -466,7 +464,6 @@ impl ServeState {
             },
             mm: MacromodelOptions {
                 solver: cfg.solver,
-                backend: cfg.backend,
                 ..Default::default()
             },
             threads: cfg.threads,

@@ -1,7 +1,7 @@
 //! End-to-end corpus gate: every checked-in deck runs through the whole
 //! `sna --deck` pipeline (parse → flatten → K-lane transient → glitch
 //! metrics → report) and the JSON report must match its golden byte for
-//! byte — at every thread count and on every compute backend.
+//! byte — at every thread count.
 //!
 //! Regenerate goldens after an intentional change with
 //!
@@ -13,7 +13,6 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use sna_flow::deck::{deck_to_csv, deck_to_json, deck_to_text, run_deck, DeckOptions, DeckReport};
-use sna_spice::backend::BackendKind;
 use sna_spice::parser::parse_deck_file;
 
 const CORPUS: &[&str] = &[
@@ -33,10 +32,9 @@ fn golden_path(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("tests/goldens/{name}.json"))
 }
 
-fn opts(threads: usize, backend: BackendKind) -> DeckOptions {
+fn opts(threads: usize) -> DeckOptions {
     DeckOptions {
         threads,
-        backend,
         ..DeckOptions::default()
     }
 }
@@ -51,9 +49,9 @@ fn run_corpus_deck(name: &str, o: &DeckOptions) -> DeckReport {
 }
 
 #[test]
-fn corpus_matches_goldens_across_threads_and_backends() {
+fn corpus_matches_goldens_across_threads() {
     for name in CORPUS {
-        let report = run_corpus_deck(name, &opts(1, BackendKind::Scalar));
+        let report = run_corpus_deck(name, &opts(1));
         assert!(
             report.skipped.is_empty(),
             "{name}: no corpus case may be skipped: {:?}",
@@ -77,26 +75,20 @@ fn corpus_matches_goldens_across_threads_and_backends() {
                  regenerate with SNAPSHOT_UPDATE=1 and commit"
             );
         }
-        // Determinism contract: threads and backend must not change a byte.
-        for (threads, backend) in [
-            (4, BackendKind::Scalar),
-            (1, BackendKind::Batched),
-            (4, BackendKind::Batched),
-        ] {
-            let r = run_corpus_deck(name, &opts(threads, backend));
-            assert_eq!(
-                deck_to_json(&r),
-                json,
-                "{name}: report differs at threads={threads} backend={backend:?}"
-            );
-        }
+        // Determinism contract: the thread count must not change a byte.
+        let r = run_corpus_deck(name, &opts(4));
+        assert_eq!(
+            deck_to_json(&r),
+            json,
+            "{name}: report differs at threads=4"
+        );
     }
 }
 
 #[test]
 fn corpus_renders_all_formats() {
     for name in CORPUS {
-        let report = run_corpus_deck(name, &opts(1, BackendKind::Scalar));
+        let report = run_corpus_deck(name, &opts(1));
         let text = deck_to_text(&report);
         assert!(text.contains("summary:"), "{name}: text report malformed");
         let csv = deck_to_csv(&report);

@@ -1,147 +1,23 @@
-//! Pluggable compute backends for the K-lane batched solver kernels.
+//! K-lane dense LU over one struct-of-arrays data plane.
 //!
-//! [`crate::sweep::BatchedSweep`] carries `K` value vectors through
-//! assembly, numeric (re)factorization, and triangular solves in
-//! struct-of-arrays layout; this module is the seam that decides *how*
-//! those planes are processed. Two CPU implementations exist today:
-//!
-//! * [`ScalarBackend`] — lane-outermost loops, replaying the serial kernel
-//!   per lane (cache-friendly, the reference implementation), and
-//! * [`BatchedBackend`] — lane-innermost loops, so each matrix slot's `K`
-//!   values stream contiguously and auto-vectorize.
-//!
-//! Both nestings execute the identical per-lane operation sequence, so
-//! they produce **bit-identical** results — switching `--backend` can
-//! never change a report byte. The [`ComputeBackend`] trait is
-//! object-safe and sized so a GPU batched-LU (one kernel launch per
-//! refactor/solve over all lanes) could slot in behind the same five
-//! methods later.
+//! [`crate::sweep::BatchedSweep`] and the batched noise engine carry `K`
+//! value vectors through assembly, factorization, and triangular solves in
+//! struct-of-arrays layout. [`BatchedDenseLu`] is the dense kernel of that
+//! path and [`crate::sparse::BatchedSparseLu`] the sparse one. Both loop
+//! lane-outermost, replaying the serial kernel once per lane: on systems of
+//! a handful of unknowns and 4–8 lanes, lane-innermost loops measured
+//! slower (README, "K-lane sweep architecture").
 
-use serde::{Deserialize, Serialize};
-
-use crate::sparse::{BatchedSparseLu, SparseMatrix};
-
-/// Which batched compute backend the sweep kernels run on. Mirrors
-/// [`crate::solver::SolverKind`]: a runtime-selectable escape hatch,
-/// defaulting to the reference implementation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// A compute-backend selector with a single value, read by nothing in the
+/// workspace. It stays only because `perfbench/` still sets
+/// `CharacterizeOptions::backend` and passes a value to
+/// `worst_case_alignment_batched` and `constrained_worst_case`; it goes
+/// when that benchmark stops doing so.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum BackendKind {
-    /// Lane-outermost scalar replay of the serial kernels (reference).
+    /// Lane-outer loops, the only implementation.
     #[default]
     Scalar,
-    /// Lane-innermost SIMD-friendly loops over the same SoA planes.
-    Batched,
-}
-
-/// The compute seam of the batched solver stack: numeric factorization and
-/// triangular solves over K-lane struct-of-arrays value planes.
-///
-/// Factorization methods process **all** lanes even when one fails (the
-/// failing lane's factors go non-finite but stay contained) and report the
-/// smallest failing lane index, so every implementation fails
-/// identically and the caller's cold-refactor fallback is deterministic.
-pub trait ComputeBackend: Sync + Send {
-    /// Human-readable backend name (diagnostics, bench labels).
-    fn name(&self) -> &'static str;
-
-    /// Factor every lane of `lu` in place (per-lane partial pivoting).
-    ///
-    /// # Errors
-    ///
-    /// `Err(lane)` with the smallest lane whose pivot column collapsed.
-    fn dense_factor(&self, lu: &mut BatchedDenseLu) -> std::result::Result<(), usize>;
-
-    /// Solve every lane against the SoA right-hand-side plane `b`
-    /// (`b[row * k + lane]`), writing the SoA solution plane `x`.
-    fn dense_solve(&self, lu: &BatchedDenseLu, b: &[f64], x: &mut [f64]);
-
-    /// Numerically refactor every lane of `lu` from the SoA value plane
-    /// `vals` sharing `a`'s pattern, replaying the stored pivot sequence.
-    ///
-    /// # Errors
-    ///
-    /// `Err(lane)` with the smallest lane whose stored pivot became
-    /// numerically zero; the caller cold-factors that lane for fresh
-    /// pivots and retries.
-    fn sparse_refactor(
-        &self,
-        lu: &mut BatchedSparseLu,
-        a: &SparseMatrix,
-        vals: &[f64],
-    ) -> std::result::Result<(), usize>;
-
-    /// Solve every lane against the SoA plane `b`, writing `x`.
-    fn sparse_solve(&self, lu: &mut BatchedSparseLu, b: &[f64], x: &mut [f64]);
-}
-
-/// Lane-outermost reference backend (serial kernel replayed per lane).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ScalarBackend;
-
-/// Lane-innermost SIMD-friendly backend over the same SoA planes.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BatchedBackend;
-
-impl ComputeBackend for ScalarBackend {
-    fn name(&self) -> &'static str {
-        "scalar"
-    }
-
-    fn dense_factor(&self, lu: &mut BatchedDenseLu) -> std::result::Result<(), usize> {
-        lu.factor_outer()
-    }
-
-    fn dense_solve(&self, lu: &BatchedDenseLu, b: &[f64], x: &mut [f64]) {
-        lu.solve_outer(b, x);
-    }
-
-    fn sparse_refactor(
-        &self,
-        lu: &mut BatchedSparseLu,
-        a: &SparseMatrix,
-        vals: &[f64],
-    ) -> std::result::Result<(), usize> {
-        lu.refactor_outer(a, vals)
-    }
-
-    fn sparse_solve(&self, lu: &mut BatchedSparseLu, b: &[f64], x: &mut [f64]) {
-        lu.solve_outer(b, x);
-    }
-}
-
-impl ComputeBackend for BatchedBackend {
-    fn name(&self) -> &'static str {
-        "batched"
-    }
-
-    fn dense_factor(&self, lu: &mut BatchedDenseLu) -> std::result::Result<(), usize> {
-        lu.factor_inner()
-    }
-
-    fn dense_solve(&self, lu: &BatchedDenseLu, b: &[f64], x: &mut [f64]) {
-        lu.solve_inner(b, x);
-    }
-
-    fn sparse_refactor(
-        &self,
-        lu: &mut BatchedSparseLu,
-        a: &SparseMatrix,
-        vals: &[f64],
-    ) -> std::result::Result<(), usize> {
-        lu.refactor_inner(a, vals)
-    }
-
-    fn sparse_solve(&self, lu: &mut BatchedSparseLu, b: &[f64], x: &mut [f64]) {
-        lu.solve_inner(b, x);
-    }
-}
-
-/// Resolve a [`BackendKind`] to its (stateless) implementation.
-pub fn backend_for(kind: BackendKind) -> &'static dyn ComputeBackend {
-    match kind {
-        BackendKind::Scalar => &ScalarBackend,
-        BackendKind::Batched => &BatchedBackend,
-    }
 }
 
 /// K-lane dense LU with per-lane partial pivoting over one SoA data plane.
@@ -209,15 +85,15 @@ impl BatchedDenseLu {
         }
     }
 
-    /// Lane-outer factorization: per-lane partial-pivoted elimination, one
-    /// full lane at a time. All lanes run to completion; the smallest
+    /// Factor every lane in place: per-lane partial-pivoted elimination,
+    /// one full lane at a time. All lanes run to completion; the smallest
     /// failing lane (if any) is reported, its factors left non-finite but
     /// contained.
     ///
     /// # Errors
     ///
     /// `Err(lane)` with the smallest numerically singular lane.
-    pub fn factor_outer(&mut self) -> std::result::Result<(), usize> {
+    pub fn factor(&mut self) -> std::result::Result<(), usize> {
         self.reset_perm();
         let (n, k) = (self.n, self.k);
         let mut fail = usize::MAX;
@@ -259,70 +135,14 @@ impl BatchedDenseLu {
         }
     }
 
-    /// Lane-inner factorization: identical per-lane arithmetic to
-    /// [`BatchedDenseLu::factor_outer`] with the elimination-update loops
-    /// lane-innermost. Pivot search and row swaps stay per-lane (the pivot
-    /// row is data-dependent), but the O(n³) update sweep streams lanes
-    /// contiguously.
-    ///
-    /// # Errors
-    ///
-    /// As [`BatchedDenseLu::factor_outer`].
-    pub fn factor_inner(&mut self) -> std::result::Result<(), usize> {
-        self.reset_perm();
-        let (n, k) = (self.n, self.k);
-        let mut fail = usize::MAX;
-        for kk in 0..n {
-            for lane in 0..k {
-                let mut p = kk;
-                let mut best = self.data[(kk * n + kk) * k + lane].abs();
-                for i in (kk + 1)..n {
-                    let v = self.data[(i * n + kk) * k + lane].abs();
-                    if v > best {
-                        best = v;
-                        p = i;
-                    }
-                }
-                if best < PIVOT_MIN && lane < fail {
-                    fail = lane;
-                }
-                if p != kk {
-                    for j in 0..n {
-                        self.data
-                            .swap((kk * n + j) * k + lane, (p * n + j) * k + lane);
-                    }
-                    self.perm.swap(lane * n + kk, lane * n + p);
-                }
-            }
-            for i in (kk + 1)..n {
-                let mcol = (i * n + kk) * k;
-                let pcol = (kk * n + kk) * k;
-                for lane in 0..k {
-                    self.data[mcol + lane] /= self.data[pcol + lane];
-                }
-                for j in (kk + 1)..n {
-                    let dst = (i * n + j) * k;
-                    let src = (kk * n + j) * k;
-                    for lane in 0..k {
-                        self.data[dst + lane] -= self.data[mcol + lane] * self.data[src + lane];
-                    }
-                }
-            }
-        }
-        if fail == usize::MAX {
-            Ok(())
-        } else {
-            Err(fail)
-        }
-    }
-
-    /// Lane-outer solve over SoA planes (`b[row * k + lane]`), using `x`
-    /// in place as the substitution workspace like the serial kernel.
+    /// Solve every lane against the SoA plane `b` (`b[row * k + lane]`),
+    /// one full lane at a time, using `x` in place as the substitution
+    /// workspace like the serial kernel.
     ///
     /// # Panics
     ///
     /// Panics on plane-dimension mismatch.
-    pub fn solve_outer(&self, b: &[f64], x: &mut [f64]) {
+    pub fn solve(&self, b: &[f64], x: &mut [f64]) {
         let (n, k) = (self.n, self.k);
         assert_eq!(b.len(), n * k);
         assert_eq!(x.len(), n * k);
@@ -340,43 +160,6 @@ impl BatchedDenseLu {
                     x[i * k + lane] -= self.data[(i * n + j) * k + lane] * x[j * k + lane];
                 }
                 x[i * k + lane] /= self.data[(i * n + i) * k + lane];
-            }
-        }
-    }
-
-    /// Lane-inner solve: identical per-lane arithmetic to
-    /// [`BatchedDenseLu::solve_outer`] with the lane loop innermost.
-    ///
-    /// # Panics
-    ///
-    /// Panics on plane-dimension mismatch.
-    pub fn solve_inner(&self, b: &[f64], x: &mut [f64]) {
-        let (n, k) = (self.n, self.k);
-        assert_eq!(b.len(), n * k);
-        assert_eq!(x.len(), n * k);
-        for i in 0..n {
-            for lane in 0..k {
-                x[i * k + lane] = b[self.perm[lane * n + i] * k + lane];
-            }
-        }
-        for i in 1..n {
-            for j in 0..i {
-                let a = (i * n + j) * k;
-                for lane in 0..k {
-                    x[i * k + lane] -= self.data[a + lane] * x[j * k + lane];
-                }
-            }
-        }
-        for i in (0..n).rev() {
-            for j in (i + 1)..n {
-                let a = (i * n + j) * k;
-                for lane in 0..k {
-                    x[i * k + lane] -= self.data[a + lane] * x[j * k + lane];
-                }
-            }
-            let d = (i * n + i) * k;
-            for lane in 0..k {
-                x[i * k + lane] /= self.data[d + lane];
             }
         }
     }
@@ -414,7 +197,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_dense_matches_serial_and_nestings_bitwise() {
+    fn batched_dense_matches_serial() {
         let k = 4;
         let mats = lane_mats(k);
         let b_lane = [1.0, -2.0, 0.5];
@@ -424,23 +207,15 @@ mod tests {
                 b_plane[i * k + lane] = b_lane[i];
             }
         }
-        let mut outer = BatchedDenseLu::new(3, k);
-        let mut inner = BatchedDenseLu::new(3, k);
-        load_lanes(&mut outer, &mats);
-        load_lanes(&mut inner, &mats);
-        outer.factor_outer().unwrap();
-        inner.factor_inner().unwrap();
-        let mut x_outer = vec![0.0; 3 * k];
-        let mut x_inner = vec![0.0; 3 * k];
-        outer.solve_outer(&b_plane, &mut x_outer);
-        inner.solve_inner(&b_plane, &mut x_inner);
-        for (o, i) in x_outer.iter().zip(&x_inner) {
-            assert_eq!(o.to_bits(), i.to_bits(), "nestings diverge: {o} vs {i}");
-        }
+        let mut lu = BatchedDenseLu::new(3, k);
+        load_lanes(&mut lu, &mats);
+        lu.factor().unwrap();
+        let mut x = vec![0.0; 3 * k];
+        lu.solve(&b_plane, &mut x);
         for (lane, m) in mats.iter().enumerate() {
             let want = m.solve(&b_lane).unwrap();
             for i in 0..3 {
-                let got = x_outer[i * k + lane];
+                let got = x[i * k + lane];
                 assert!(
                     (got - want[i]).abs() < 1e-12,
                     "lane {lane} row {i}: {got} vs {}",
@@ -456,18 +231,8 @@ mod tests {
         let mut mats = lane_mats(k);
         mats[1] = DenseMatrix::zeros(3, 3);
         mats[2] = DenseMatrix::zeros(3, 3);
-        let mut outer = BatchedDenseLu::new(3, k);
-        let mut inner = BatchedDenseLu::new(3, k);
-        load_lanes(&mut outer, &mats);
-        load_lanes(&mut inner, &mats);
-        assert_eq!(outer.factor_outer(), Err(1));
-        assert_eq!(inner.factor_inner(), Err(1));
-    }
-
-    #[test]
-    fn backend_for_resolves_names() {
-        assert_eq!(backend_for(BackendKind::Scalar).name(), "scalar");
-        assert_eq!(backend_for(BackendKind::Batched).name(), "batched");
-        assert_eq!(BackendKind::default(), BackendKind::Scalar);
+        let mut lu = BatchedDenseLu::new(3, k);
+        load_lanes(&mut lu, &mats);
+        assert_eq!(lu.factor(), Err(1));
     }
 }

@@ -20,13 +20,13 @@
 //! * [`waveform`] — sampled waveforms and glitch metrics (peak/width/area).
 //! * [`parser`] — SPICE-deck subset reader/writer.
 //! * [`linalg`] — dense LU with partial pivoting.
+//! * [`fnv`] — the stable FNV-1a hash behind every fingerprint.
 //! * [`sparse`] — CSC matrices, fill-reducing ordering, and a KLU-style
 //!   symbolic/numeric LU split (cold factor once, refactor per iteration).
 //! * [`solver`] — dense/sparse backend selection ([`solver::SolverKind`])
 //!   shared by every repeated solve in the workspace.
-//! * [`backend`] — the pluggable compute seam ([`backend::ComputeBackend`])
-//!   behind the K-lane batched kernels: lane-outer scalar and lane-inner
-//!   SIMD-friendly CPU implementations, bit-identical by construction.
+//! * [`backend`] — [`backend::BatchedDenseLu`], the K-lane dense LU of the
+//!   batched kernels.
 //! * [`sweep`] — [`sweep::BatchedSweep`], the K-lane batched value plane
 //!   over [`solver::SystemSolver`]: one symbolic analysis and one pattern,
 //!   `K` struct-of-arrays value vectors through DC Newton and both
@@ -60,6 +60,7 @@ pub mod backend;
 pub mod dc;
 pub mod devices;
 pub mod error;
+pub mod fnv;
 pub mod linalg;
 pub mod mna;
 pub mod netlist;
@@ -75,9 +76,7 @@ pub use error::{Error, Result};
 
 /// Convenient glob-import surface for downstream crates.
 pub mod prelude {
-    pub use crate::backend::{
-        backend_for, BackendKind, BatchedBackend, BatchedDenseLu, ComputeBackend, ScalarBackend,
-    };
+    pub use crate::backend::BatchedDenseLu;
     pub use crate::dc::{
         dc_input_conductance, dc_operating_point, dc_operating_point_with, dc_sweep, DcSolution,
         NewtonOptions,

@@ -215,8 +215,8 @@ impl SparseMatrix {
     /// are SoA planes of shape `n × k` (`x[row * k + lane]`).
     ///
     /// Unlike [`SparseMatrix::mul_vals_into`] there is no `x == 0` column
-    /// skip: every lane performs the identical operation sequence, which is
-    /// what makes the scalar and batched compute backends bit-identical.
+    /// skip: every lane performs the identical operation sequence, so a
+    /// lane's result does not depend on the other lanes' values.
     ///
     /// # Panics
     ///
@@ -676,14 +676,8 @@ impl SparseLu {
 /// arithmetic mirrors [`SparseLu::refactor`]/[`SparseLu::solve_into`]
 /// exactly, except the exact-zero skip guards are dropped: a skipped
 /// update only ever subtracts `x * 0.0`, so dropping the guard is
-/// value-preserving while keeping every lane on the same instruction
-/// stream (the property the SIMD-friendly lane-inner loops rely on).
-///
-/// The two loop nestings — `*_outer` (lane-outermost, cache-friendly
-/// scalar replay) and `*_inner` (lane-innermost, vectorizable) — perform
-/// the same per-lane operation sequence and therefore produce bit-identical
-/// results; the [`crate::backend::ComputeBackend`] trait picks between
-/// them.
+/// value-preserving and keeps every lane on the same operation sequence.
+/// The loops run lane-outermost, one full lane at a time.
 #[derive(Debug, Clone)]
 pub struct BatchedSparseLu {
     proto: SparseLu,
@@ -741,24 +735,20 @@ impl BatchedSparseLu {
         );
     }
 
-    /// Lane-outer batched refactor: replay the stored pivot sequence on
-    /// `vals` (SoA plane sharing `a`'s pattern), one full lane at a time.
+    /// Batched refactor: replay the stored pivot sequence on `vals` (SoA
+    /// plane sharing `a`'s pattern), one full lane at a time.
     ///
     /// All lanes are processed even when one hits a collapsed pivot — the
     /// failing lane's factors go non-finite but stay contained to that
-    /// lane — and the *smallest* failing lane index is reported so the
-    /// outer and inner nestings fail identically.
+    /// lane — and the *smallest* failing lane index is reported, so the
+    /// caller's cold-refactor fallback is deterministic.
     ///
     /// # Errors
     ///
     /// `Err(lane)` with the smallest lane whose stored pivot position
     /// became numerically zero; the caller should cold-factor that lane for
     /// a fresh pivot sequence.
-    pub fn refactor_outer(
-        &mut self,
-        a: &SparseMatrix,
-        vals: &[f64],
-    ) -> std::result::Result<(), usize> {
+    pub fn refactor(&mut self, a: &SparseMatrix, vals: &[f64]) -> std::result::Result<(), usize> {
         self.check_refactor_dims(a, vals);
         let k = self.k;
         let n = self.proto.n;
@@ -803,87 +793,14 @@ impl BatchedSparseLu {
         }
     }
 
-    /// Lane-inner batched refactor: identical per-lane arithmetic to
-    /// [`BatchedSparseLu::refactor_outer`], with the lane loop innermost so
-    /// each pattern slot's `k` values stream contiguously (SIMD-friendly).
-    ///
-    /// # Errors
-    ///
-    /// As [`BatchedSparseLu::refactor_outer`].
-    pub fn refactor_inner(
-        &mut self,
-        a: &SparseMatrix,
-        vals: &[f64],
-    ) -> std::result::Result<(), usize> {
-        self.check_refactor_dims(a, vals);
-        let k = self.k;
-        let n = self.proto.n;
-        let mut fail = usize::MAX;
-        for kk in 0..n {
-            let col = self.proto.q[kk];
-            for up in self.proto.u_colptr[kk]..self.proto.u_colptr[kk + 1] {
-                let r = self.proto.u_rows[up] * k;
-                for lane in 0..k {
-                    self.work[r + lane] = 0.0;
-                }
-            }
-            for lane in 0..k {
-                self.work[kk * k + lane] = 0.0;
-            }
-            for lp in self.proto.l_colptr[kk]..self.proto.l_colptr[kk + 1] {
-                let r = self.proto.l_rows[lp] * k;
-                for lane in 0..k {
-                    self.work[r + lane] = 0.0;
-                }
-            }
-            for ap in a.col_ptr[col]..a.col_ptr[col + 1] {
-                let dst = self.proto.pinv[a.row_idx[ap]] * k;
-                for lane in 0..k {
-                    self.work[dst + lane] = vals[ap * k + lane];
-                }
-            }
-            for up in self.proto.u_colptr[kk]..self.proto.u_colptr[kk + 1] {
-                let r = self.proto.u_rows[up];
-                let rk = r * k;
-                for lane in 0..k {
-                    self.u_vals[up * k + lane] = self.work[rk + lane];
-                }
-                for lp in self.proto.l_colptr[r]..self.proto.l_colptr[r + 1] {
-                    let lr = self.proto.l_rows[lp] * k;
-                    for lane in 0..k {
-                        self.work[lr + lane] -= self.l_vals[lp * k + lane] * self.work[rk + lane];
-                    }
-                }
-            }
-            for lane in 0..k {
-                let pivot = self.work[kk * k + lane];
-                if pivot.abs() < PIVOT_MIN && lane < fail {
-                    fail = lane;
-                }
-                self.u_diag[kk * k + lane] = pivot;
-            }
-            for lp in self.proto.l_colptr[kk]..self.proto.l_colptr[kk + 1] {
-                let lr = self.proto.l_rows[lp] * k;
-                for lane in 0..k {
-                    self.l_vals[lp * k + lane] = self.work[lr + lane] / self.u_diag[kk * k + lane];
-                }
-            }
-        }
-        if fail == usize::MAX {
-            Ok(())
-        } else {
-            Err(fail)
-        }
-    }
-
-    /// Lane-outer batched solve: for every lane, solve `A(lane)·x = b` with
+    /// Batched solve: for every lane, solve `A(lane)·x = b` with
     /// that lane's stored factors. `b` and `x` are SoA planes of shape
     /// `n × k` indexed by *original* row (`b[row * k + lane]`).
     ///
     /// # Panics
     ///
     /// Panics on plane-dimension mismatch.
-    pub fn solve_outer(&mut self, b: &[f64], x: &mut [f64]) {
+    pub fn solve(&mut self, b: &[f64], x: &mut [f64]) {
         let k = self.k;
         let n = self.proto.n;
         assert_eq!(b.len(), n * k);
@@ -907,52 +824,6 @@ impl BatchedSparseLu {
             }
             for kk in 0..n {
                 x[self.proto.q[kk] * k + lane] = self.work[kk * k + lane];
-            }
-        }
-    }
-
-    /// Lane-inner batched solve: identical per-lane arithmetic to
-    /// [`BatchedSparseLu::solve_outer`] with the lane loop innermost.
-    ///
-    /// # Panics
-    ///
-    /// Panics on plane-dimension mismatch.
-    pub fn solve_inner(&mut self, b: &[f64], x: &mut [f64]) {
-        let k = self.k;
-        let n = self.proto.n;
-        assert_eq!(b.len(), n * k);
-        assert_eq!(x.len(), n * k);
-        for kk in 0..n {
-            let src = self.proto.p[kk] * k;
-            for lane in 0..k {
-                self.work[kk * k + lane] = b[src + lane];
-            }
-        }
-        for kk in 0..n {
-            let wk = kk * k;
-            for lp in self.proto.l_colptr[kk]..self.proto.l_colptr[kk + 1] {
-                let lr = self.proto.l_rows[lp] * k;
-                for lane in 0..k {
-                    self.work[lr + lane] -= self.l_vals[lp * k + lane] * self.work[wk + lane];
-                }
-            }
-        }
-        for kk in (0..n).rev() {
-            let wk = kk * k;
-            for lane in 0..k {
-                self.work[wk + lane] /= self.u_diag[wk + lane];
-            }
-            for up in self.proto.u_colptr[kk]..self.proto.u_colptr[kk + 1] {
-                let ur = self.proto.u_rows[up] * k;
-                for lane in 0..k {
-                    self.work[ur + lane] -= self.u_vals[up * k + lane] * self.work[wk + lane];
-                }
-            }
-        }
-        for kk in 0..n {
-            let dst = self.proto.q[kk] * k;
-            for lane in 0..k {
-                x[dst + lane] = self.work[kk * k + lane];
             }
         }
     }
@@ -1124,19 +995,11 @@ mod tests {
                 b_plane[i * k + lane] = b_lane[i];
             }
         }
-        let mut outer = BatchedSparseLu::from_proto(proto.clone(), k);
-        let mut inner = BatchedSparseLu::from_proto(proto, k);
-        outer.refactor_outer(&a, &plane).unwrap();
-        inner.refactor_inner(&a, &plane).unwrap();
-        let mut x_outer = vec![0.0; 20 * k];
-        let mut x_inner = vec![0.0; 20 * k];
-        outer.solve_outer(&b_plane, &mut x_outer);
-        inner.solve_inner(&b_plane, &mut x_inner);
-        // Outer and inner nestings are bit-identical.
-        for (o, i) in x_outer.iter().zip(&x_inner) {
-            assert_eq!(o.to_bits(), i.to_bits(), "nestings diverge: {o} vs {i}");
-        }
-        // And each lane matches a serial refactor of its own values.
+        let mut batched = BatchedSparseLu::from_proto(proto, k);
+        batched.refactor(&a, &plane).unwrap();
+        let mut x = vec![0.0; 20 * k];
+        batched.solve(&b_plane, &mut x);
+        // Each lane matches a serial refactor of its own values.
         for lane in 0..k {
             let mut al = a.clone();
             for (s, v) in al.values_mut().iter_mut().enumerate() {
@@ -1146,7 +1009,7 @@ mod tests {
             serial.refactor(&al).unwrap();
             let xs = serial.solve(&b_lane);
             for (i, want) in xs.iter().enumerate() {
-                let got = x_outer[i * k + lane];
+                let got = x[i * k + lane];
                 assert!(
                     (got - want).abs() < 1e-12,
                     "lane {lane} row {i}: {got} vs {want}"
@@ -1167,10 +1030,8 @@ mod tests {
             plane[s * k + 1] = 0.0;
             plane[s * k + 2] = 0.0;
         }
-        let mut outer = BatchedSparseLu::from_proto(proto.clone(), k);
-        let mut inner = BatchedSparseLu::from_proto(proto, k);
-        assert_eq!(outer.refactor_outer(&a, &plane), Err(1));
-        assert_eq!(inner.refactor_inner(&a, &plane), Err(1));
+        let mut batched = BatchedSparseLu::from_proto(proto, k);
+        assert_eq!(batched.refactor(&a, &plane), Err(1));
     }
 
     #[test]

@@ -6,21 +6,20 @@
 //! assembles the union sparsity pattern once, runs the fill-reducing
 //! symbolic analysis once, and then carries `K` value vectors together
 //! through assembly, numeric refactorization, and triangular solves in
-//! struct-of-arrays layout (`plane[slot * k + lane]`), dispatched through
-//! the pluggable [`crate::backend::ComputeBackend`] seam.
+//! struct-of-arrays layout (`plane[slot * k + lane]`), on the lane-outer
+//! kernels of [`BatchedDenseLu`] and [`BatchedSparseLu`].
 //!
 //! The per-lane arithmetic mirrors the serial [`SystemSolver`] paths, so
 //! batched results track `K` independent serial solves to well below any
-//! physical tolerance, and the two CPU backends (lane-outer scalar,
-//! lane-inner SIMD-friendly) are bit-identical by construction. Newton
-//! loops keep a per-lane convergence mask: converged lanes stop stamping
-//! and updating while the remaining lanes iterate, and DC lanes that
-//! resist the plain batched Newton fall back—deterministically—to the
-//! serial continuation ladder of [`dc_operating_point`].
+//! physical tolerance. Newton loops keep a per-lane convergence mask:
+//! converged lanes stop stamping and updating while the remaining lanes
+//! iterate, and DC lanes that resist the plain batched Newton fall
+//! back—deterministically—to the serial continuation ladder of
+//! [`dc_operating_point`].
 
 use sna_obs::{count, phase_span, Metric, Phase};
 
-use crate::backend::{backend_for, BackendKind, BatchedDenseLu, ComputeBackend};
+use crate::backend::BatchedDenseLu;
 use crate::dc::{dc_operating_point, vsource_names, DcSolution, NewtonOptions};
 use crate::error::{Error, Result};
 use crate::linalg::{MatrixStamp, PatternCollector};
@@ -32,8 +31,8 @@ use crate::tran::{
     circuit_topology_hash, circuit_value_hash, AdaptiveOptions, Integrator, TranParams, TranResult,
 };
 
-/// Per-backend numeric state of a sweep: dense planes or one shared sparse
-/// pattern with SoA value planes.
+/// Numeric state of a sweep: dense planes or one shared sparse pattern
+/// with SoA value planes.
 //
 // One State lives per sweep and is never moved after construction, so the
 // dense/sparse size asymmetry costs nothing; boxing would only add an
@@ -172,10 +171,10 @@ fn state_begin_lane(state: &mut State, k: usize, lane: usize) {
     }
 }
 
-fn state_factor(state: &mut State, backend: &dyn ComputeBackend, k: usize) -> Result<()> {
+fn state_factor(state: &mut State, k: usize) -> Result<()> {
     match state {
-        State::Dense { lu, .. } => backend
-            .dense_factor(lu)
+        State::Dense { lu, .. } => lu
+            .factor()
             // For batched factorizations the reported index is the failing
             // *lane*, not a pivot position.
             .map_err(|lane| Error::SingularMatrix { pivot: lane }),
@@ -193,7 +192,7 @@ fn state_factor(state: &mut State, backend: &dyn ComputeBackend, k: usize) -> Re
                 *lu = Some(BatchedSparseLu::from_proto(proto, k));
             }
             let batched = lu.as_mut().expect("initialized above");
-            match backend.sparse_refactor(batched, pattern, jac_vals) {
+            match batched.refactor(pattern, jac_vals) {
                 Ok(()) => Ok(()),
                 Err(lane) => {
                     // The stored pivot sequence collapsed for `lane`:
@@ -202,8 +201,9 @@ fn state_factor(state: &mut State, backend: &dyn ComputeBackend, k: usize) -> Re
                     extract_lane_values(jac_vals, k, lane, scratch_mat);
                     let proto = SparseLu::factor(scratch_mat, sym)?;
                     *lu = Some(BatchedSparseLu::from_proto(proto, k));
-                    backend
-                        .sparse_refactor(lu.as_mut().expect("just rebuilt"), pattern, jac_vals)
+                    lu.as_mut()
+                        .expect("just rebuilt")
+                        .refactor(pattern, jac_vals)
                         .map_err(|l2| Error::SingularMatrix { pivot: l2 })
                 }
             }
@@ -211,12 +211,10 @@ fn state_factor(state: &mut State, backend: &dyn ComputeBackend, k: usize) -> Re
     }
 }
 
-fn state_solve(state: &mut State, backend: &dyn ComputeBackend, b: &[f64], x: &mut [f64]) {
+fn state_solve(state: &mut State, b: &[f64], x: &mut [f64]) {
     match state {
-        State::Dense { lu, .. } => backend.dense_solve(lu, b, x),
-        State::Sparse { lu, .. } => {
-            backend.sparse_solve(lu.as_mut().expect("factor before solve"), b, x);
-        }
+        State::Dense { lu, .. } => lu.solve(b, x),
+        State::Sparse { lu, .. } => lu.as_mut().expect("factor before solve").solve(b, x),
     }
 }
 
@@ -305,8 +303,6 @@ fn state_stamp_lane(
 pub struct BatchedSweep {
     k: usize,
     kind: SolverKind,
-    backend_kind: BackendKind,
-    backend: &'static dyn ComputeBackend,
     mna: MnaSystem,
     dim: usize,
     n_nodes: usize,
@@ -348,7 +344,7 @@ impl BatchedSweep {
     ///
     /// [`Error::InvalidAnalysis`] on an empty lane set or mismatched lane
     /// topologies; propagates circuit validation failures.
-    pub fn new(circuits: &[Circuit], kind: SolverKind, backend: BackendKind) -> Result<Self> {
+    pub fn new(circuits: &[Circuit], kind: SolverKind) -> Result<Self> {
         let first = circuits.first().ok_or_else(|| {
             Error::InvalidAnalysis("batched sweep needs at least one lane".into())
         })?;
@@ -448,8 +444,6 @@ impl BatchedSweep {
         Ok(Self {
             k,
             kind,
-            backend_kind: backend,
-            backend: backend_for(backend),
             mna,
             dim,
             n_nodes,
@@ -489,16 +483,6 @@ impl BatchedSweep {
     /// Whether the sparse backend was selected.
     pub fn is_sparse(&self) -> bool {
         matches!(self.state, State::Sparse { .. })
-    }
-
-    /// The compute backend selection.
-    pub fn backend_kind(&self) -> BackendKind {
-        self.backend_kind
-    }
-
-    /// The compute backend's name (diagnostics).
-    pub fn backend_name(&self) -> &'static str {
-        self.backend.name()
     }
 
     /// Guard against reuse with different circuits: lane count, topology,
@@ -548,7 +532,7 @@ impl BatchedSweep {
         for lane in 0..self.k {
             state_begin_lane(&mut self.state, self.k, lane);
         }
-        state_factor(&mut self.state, self.backend, self.k)?;
+        state_factor(&mut self.state, self.k)?;
         self.factored_base_alpha = Some(self.alpha);
         Ok(())
     }
@@ -568,8 +552,7 @@ impl BatchedSweep {
     /// converged lanes stop stamping and updating while the rest iterate —
     /// and any lane that resists plain Newton (or a singular batched
     /// factor) falls back to the serial continuation ladder of
-    /// [`dc_operating_point`], keeping behavior deterministic and
-    /// backend-independent.
+    /// [`dc_operating_point`], keeping behavior deterministic.
     ///
     /// `warm` optionally seeds each lane with a previous solution's raw
     /// unknown vector (same semantics as [`dc_operating_point`]).
@@ -607,14 +590,7 @@ impl BatchedSweep {
             .collect();
         if !self.mna.has_nonlinear() {
             self.factor_base()?;
-            let Self {
-                state,
-                backend,
-                b_cur,
-                x,
-                ..
-            } = self;
-            state_solve(state, *backend, b_cur, x);
+            state_solve(&mut self.state, &self.b_cur, &mut self.x);
             let mut out = Vec::with_capacity(k);
             for (lane, name) in names.into_iter().enumerate() {
                 gather_lane(&self.x, k, lane, &mut self.lane_v);
@@ -637,7 +613,6 @@ impl BatchedSweep {
             let Self {
                 mna,
                 state,
-                backend,
                 b_cur,
                 residual,
                 neg,
@@ -669,21 +644,13 @@ impl BatchedSweep {
             for (nv, &rv) in neg.iter_mut().zip(residual.iter()) {
                 *nv = -rv;
             }
-            if state_factor(state, *backend, k).is_err() {
+            if state_factor(state, k).is_err() {
                 // Conservative: every still-active lane takes the serial
-                // ladder (identical across backends — the arithmetic that
-                // failed is identical too).
+                // ladder.
                 break;
             }
             self.factored_base_alpha = None;
-            let Self {
-                state,
-                backend,
-                neg,
-                dx,
-                ..
-            } = self;
-            state_solve(state, *backend, neg, dx);
+            state_solve(&mut self.state, &self.neg, &mut self.dx);
             for lane in 0..k {
                 if !self.active[lane] {
                     continue;
@@ -769,7 +736,6 @@ impl BatchedSweep {
             let Self {
                 mna,
                 state,
-                backend,
                 rhs,
                 residual,
                 neg,
@@ -802,8 +768,8 @@ impl BatchedSweep {
             for (nv, &rv) in neg.iter_mut().zip(residual.iter()) {
                 *nv = -rv;
             }
-            state_factor(state, *backend, k)?;
-            state_solve(state, *backend, neg, dx);
+            state_factor(state, k)?;
+            state_solve(state, neg, dx);
             for lane in 0..k {
                 if !self.active[lane] {
                     continue;
@@ -1009,14 +975,7 @@ impl BatchedSweep {
                 }
             }
             if linear {
-                let Self {
-                    state,
-                    backend,
-                    rhs,
-                    x_next,
-                    ..
-                } = self;
-                state_solve(state, *backend, rhs, x_next);
+                state_solve(&mut self.state, &self.rhs, &mut self.x_next);
                 std::mem::swap(&mut self.x, &mut self.x_next);
             } else {
                 total_newton += self.newton_step_lanes(circuits, &params.newton, "tran", t1)?;
@@ -1220,13 +1179,7 @@ impl BatchedSweep {
         }
         if !self.mna.has_nonlinear() {
             self.factor_base()?;
-            let Self {
-                state,
-                backend,
-                rhs,
-                ..
-            } = self;
-            state_solve(state, *backend, rhs, out);
+            state_solve(&mut self.state, &self.rhs, out);
             return Ok(());
         }
         // Newton on the x plane, warm-started from x0.

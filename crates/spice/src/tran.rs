@@ -14,6 +14,7 @@ use sna_obs::{count, phase_span, Metric, Phase};
 
 use crate::dc::{dc_operating_point_with, NewtonOptions};
 use crate::error::{Error, Result};
+use crate::fnv::Fnv;
 use crate::mna::MnaSystem;
 use crate::netlist::{Circuit, Element, NodeId};
 use crate::solver::{OwnedFactor, SolverKind, SystemSolver};
@@ -206,30 +207,12 @@ impl TranStats {
     }
 }
 
-/// FNV-1a of a string, used to fold element-name references (the F/H
-/// controlling-source names) into the circuit fingerprints.
-fn fnv_str(s: &str) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    for b in s.as_bytes() {
-        h = (h ^ u64::from(*b)).wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 /// Order-sensitive FNV-1a hash of every stamped element value *and* every
 /// terminal wiring (source waveforms excluded — those are the one thing a
 /// workspace re-run may legitimately change).
 pub(crate) fn circuit_value_hash(circuit: &Circuit) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    let mut mix = |v: u64| {
-        for byte in v.to_le_bytes() {
-            h = (h ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-        }
-    };
+    let mut h = Fnv::new();
+    let mut mix = |v: u64| h.write_u64(v);
     let n = |id: &NodeId| if id.is_ground() { 0 } else { id.index() as u64 };
     for el in circuit.elements() {
         match el {
@@ -294,7 +277,7 @@ pub(crate) fn circuit_value_hash(circuit: &Circuit) -> u64 {
             } => {
                 mix(9 ^ gain.to_bits());
                 mix(n(out_p) | n(out_n) << 32);
-                mix(fnv_str(ctrl));
+                mix(Fnv::hash_bytes(ctrl.as_bytes()));
             }
             Element::Ccvs {
                 out_p,
@@ -305,7 +288,7 @@ pub(crate) fn circuit_value_hash(circuit: &Circuit) -> u64 {
             } => {
                 mix(10 ^ r.to_bits());
                 mix(n(out_p) | n(out_n) << 32);
-                mix(fnv_str(ctrl));
+                mix(Fnv::hash_bytes(ctrl.as_bytes()));
             }
             Element::Diode {
                 p: dp,
@@ -319,7 +302,7 @@ pub(crate) fn circuit_value_hash(circuit: &Circuit) -> u64 {
             }
         }
     }
-    h
+    h.finish()
 }
 
 /// Order-sensitive FNV-1a hash of the circuit *wiring only*: element kind
@@ -327,14 +310,8 @@ pub(crate) fn circuit_value_hash(circuit: &Circuit) -> u64 {
 /// this hash (identical topology) while their element values — and hence
 /// their [`circuit_value_hash`] — may legitimately differ per lane.
 pub(crate) fn circuit_topology_hash(circuit: &Circuit) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    let mut mix = |v: u64| {
-        for byte in v.to_le_bytes() {
-            h = (h ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-        }
-    };
+    let mut h = Fnv::new();
+    let mut mix = |v: u64| h.write_u64(v);
     let n = |id: &NodeId| if id.is_ground() { 0 } else { id.index() as u64 };
     for el in circuit.elements() {
         match el {
@@ -391,14 +368,14 @@ pub(crate) fn circuit_topology_hash(circuit: &Circuit) -> u64 {
             } => {
                 mix(9);
                 mix(n(out_p) | n(out_n) << 32);
-                mix(fnv_str(ctrl));
+                mix(Fnv::hash_bytes(ctrl.as_bytes()));
             }
             Element::Ccvs {
                 out_p, out_n, ctrl, ..
             } => {
                 mix(10);
                 mix(n(out_p) | n(out_n) << 32);
-                mix(fnv_str(ctrl));
+                mix(Fnv::hash_bytes(ctrl.as_bytes()));
             }
             Element::Diode { p, n: dn, .. } => {
                 mix(11);
@@ -406,7 +383,7 @@ pub(crate) fn circuit_topology_hash(circuit: &Circuit) -> u64 {
             }
         }
     }
-    h
+    h.finish()
 }
 
 impl TranResult {

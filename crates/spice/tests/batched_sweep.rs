@@ -1,21 +1,15 @@
 //! K-lane batched sweeps must be a pure performance change.
 //!
-//! Three layers of guarantees, in decreasing strictness:
+//! Two layers of guarantees, in decreasing strictness:
 //!
-//! 1. **Backend bit-identity** — the lane-outer scalar and lane-inner
-//!    batched CPU backends execute the same per-lane floating-point
-//!    operation sequence over the same SoA planes, so every recorded
-//!    sample must match *bitwise* between `--backend scalar` and
-//!    `--backend batched`.
-//! 2. **Linear lanes ≤ 1e-9 vs serial** — a linear lane's batched solve
+//! 1. **Linear lanes ≤ 1e-9 vs serial** — a linear lane's batched solve
 //!    shares the serial path's pattern and elimination order, so batched
 //!    results track K independent serial solves far below the paper's
 //!    noise-metric resolution (property-tested over random ladders).
-//! 3. **Non-linear lanes ≤ 1e-6 vs serial** — Newton stops inside the
+//! 2. **Non-linear lanes ≤ 1e-6 vs serial** — Newton stops inside the
 //!    same tolerance band (`vntol` = 1e-6) on both paths.
 
 use proptest::prelude::*;
-use sna_spice::backend::BackendKind;
 use sna_spice::dc::{dc_operating_point, NewtonOptions};
 use sna_spice::devices::{MosPolarity, MosfetModel, SourceWaveform};
 use sna_spice::netlist::{Circuit, NodeId};
@@ -129,8 +123,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Batched DC solutions match K independent serial solves to 1e-9 on
-    /// random linear ladders, on both the dense and sparse states and both
-    /// compute backends.
+    /// random linear ladders, on both the dense and sparse states.
     #[test]
     fn prop_batched_dc_matches_serial(
         n_nodes in 3usize..14,
@@ -139,20 +132,18 @@ proptest! {
     ) {
         let circuits: Vec<Circuit> = scales.iter().map(|&s| ladder(n_nodes, s, v1)).collect();
         for kind in [SolverKind::Dense, SolverKind::Sparse] {
-            for backend in [BackendKind::Scalar, BackendKind::Batched] {
-                let mut sweep = BatchedSweep::new(&circuits, kind, backend).unwrap();
-                let sols = sweep
-                    .dc_operating_points(&circuits, &NewtonOptions::default(), None)
-                    .unwrap();
-                for (ckt, sol) in circuits.iter().zip(&sols) {
-                    let opts = NewtonOptions {
-                        solver: kind,
-                        ..Default::default()
-                    };
-                    let serial = dc_operating_point(ckt, &opts, None).unwrap();
-                    for (a, b) in sol.unknowns().iter().zip(serial.unknowns()) {
-                        prop_assert!((a - b).abs() < 1e-9, "{kind:?}/{backend:?}: {a} vs {b}");
-                    }
+            let mut sweep = BatchedSweep::new(&circuits, kind).unwrap();
+            let sols = sweep
+                .dc_operating_points(&circuits, &NewtonOptions::default(), None)
+                .unwrap();
+            for (ckt, sol) in circuits.iter().zip(&sols) {
+                let opts = NewtonOptions {
+                    solver: kind,
+                    ..Default::default()
+                };
+                let serial = dc_operating_point(ckt, &opts, None).unwrap();
+                for (a, b) in sol.unknowns().iter().zip(serial.unknowns()) {
+                    prop_assert!((a - b).abs() < 1e-9, "{kind:?}: {a} vs {b}");
                 }
             }
         }
@@ -170,7 +161,7 @@ proptest! {
         let mut params = TranParams::new(0.3 * NS, 3.0 * PS);
         params.method = if trap == 1usize { Integrator::Trapezoidal } else { Integrator::BackwardEuler };
         for kind in [SolverKind::Dense, SolverKind::Sparse] {
-            let mut sweep = BatchedSweep::new(&circuits, kind, BackendKind::Batched).unwrap();
+            let mut sweep = BatchedSweep::new(&circuits, kind).unwrap();
             let results = sweep.transient(&circuits, &params).unwrap();
             let serial = serial_transients(&circuits, kind, &params);
             for ((ckt, batched), reference) in circuits.iter().zip(&results).zip(&serial) {
@@ -195,8 +186,7 @@ fn nonlinear_inverter_batched_matches_serial() {
     for method in [Integrator::Trapezoidal, Integrator::BackwardEuler] {
         let mut params = TranParams::new(0.5 * NS, 2.0 * PS);
         params.method = method;
-        let mut sweep =
-            BatchedSweep::new(&circuits, SolverKind::Dense, BackendKind::Batched).expect("sweep");
+        let mut sweep = BatchedSweep::new(&circuits, SolverKind::Dense).expect("sweep");
         let results = sweep
             .transient(&circuits, &params)
             .expect("batched transient");
@@ -223,8 +213,7 @@ fn nonlinear_inverter_dc_matches_serial() {
         .iter()
         .map(|&(p, c)| inverter(p, c))
         .collect();
-    let mut sweep =
-        BatchedSweep::new(&circuits, SolverKind::Dense, BackendKind::Batched).expect("sweep");
+    let mut sweep = BatchedSweep::new(&circuits, SolverKind::Dense).expect("sweep");
     let sols = sweep
         .dc_operating_points(&circuits, &NewtonOptions::default(), None)
         .expect("batched dc");
@@ -245,8 +234,7 @@ fn adaptive_identical_lanes_match_serial_grid() {
         let circuits = vec![ckt.clone(), ckt.clone(), ckt.clone()];
         let mut opts = AdaptiveOptions::new(0.5 * NS);
         opts.solver = SolverKind::Dense;
-        let mut sweep =
-            BatchedSweep::new(&circuits, SolverKind::Dense, BackendKind::Batched).expect("sweep");
+        let mut sweep = BatchedSweep::new(&circuits, SolverKind::Dense).expect("sweep");
         let results = sweep
             .transient_adaptive(&circuits, &opts)
             .expect("batched adaptive");
@@ -266,63 +254,6 @@ fn adaptive_identical_lanes_match_serial_grid() {
     }
 }
 
-/// The two CPU backends must agree *bitwise*: same SoA planes, same
-/// per-lane operation sequence, different loop nesting only.
-#[test]
-fn scalar_and_batched_backends_bitwise_identical() {
-    // Linear + sparse state.
-    let lin: Vec<Circuit> = [0.6, 0.9, 1.3, 1.7]
-        .iter()
-        .map(|&s| ladder(12, s, 1.2))
-        .collect();
-    // Non-linear + dense state (Newton masks in play).
-    let nl: Vec<Circuit> = [(0.6, 8e-15), (0.8, 12e-15), (1.0, 18e-15)]
-        .iter()
-        .map(|&(p, c)| inverter(p, c))
-        .collect();
-    let lin_nodes: Vec<String> = (0..12).map(|i| format!("n{i}")).collect();
-    let nl_nodes = vec!["vdd".to_string(), "in".to_string(), "out".to_string()];
-    for (circuits, kind, nodes) in [
-        (lin, SolverKind::Sparse, lin_nodes),
-        (nl, SolverKind::Dense, nl_nodes),
-    ] {
-        let params = TranParams::new(0.4 * NS, 2.0 * PS);
-        let run = |backend: BackendKind| {
-            let mut sweep = BatchedSweep::new(&circuits, kind, backend).expect("sweep");
-            let dc = sweep
-                .dc_operating_points(&circuits, &NewtonOptions::default(), None)
-                .expect("dc");
-            let tr = sweep.transient(&circuits, &params).expect("transient");
-            (dc, tr)
-        };
-        let (dc_s, tr_s) = run(BackendKind::Scalar);
-        let (dc_b, tr_b) = run(BackendKind::Batched);
-        for (a, b) in dc_s.iter().zip(&dc_b) {
-            for (x, y) in a.unknowns().iter().zip(b.unknowns()) {
-                assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
-                    "{kind:?}: DC differs across backends"
-                );
-            }
-        }
-        for (lane, (a, b)) in tr_s.iter().zip(&tr_b).enumerate() {
-            assert_eq!(a.times(), b.times());
-            for name in &nodes {
-                let wa = a.waveform(name).expect("node present");
-                let wb = b.waveform(name).expect("node present");
-                for (x, y) in wa.values().iter().zip(wb.values()) {
-                    assert_eq!(
-                        x.to_bits(),
-                        y.to_bits(),
-                        "lane {lane} node {name} {kind:?}: differs across backends"
-                    );
-                }
-            }
-        }
-    }
-}
-
 /// Fingerprint guards: wrong lane count, changed element values, and
 /// mismatched topologies are all rejected with a clear error.
 #[test]
@@ -331,17 +262,12 @@ fn sweep_rejects_mismatched_lanes() {
     let b = ladder(6, 1.5, 1.2);
     // Topology mismatch at construction.
     let short = ladder(5, 1.0, 1.2);
-    let err = BatchedSweep::new(&[a.clone(), short], SolverKind::Dense, BackendKind::Batched)
+    let err = BatchedSweep::new(&[a.clone(), short], SolverKind::Dense)
         .err()
         .expect("topology mismatch must be rejected");
     assert!(err.to_string().contains("topology"), "got: {err}");
     // Lane-count mismatch on reuse.
-    let mut sweep = BatchedSweep::new(
-        &[a.clone(), b.clone()],
-        SolverKind::Dense,
-        BackendKind::Batched,
-    )
-    .unwrap();
+    let mut sweep = BatchedSweep::new(&[a.clone(), b.clone()], SolverKind::Dense).unwrap();
     let err = sweep
         .dc_operating_points(std::slice::from_ref(&a), &NewtonOptions::default(), None)
         .unwrap_err();

@@ -69,52 +69,6 @@ fn parallel_flow_is_deterministic_across_thread_counts() {
 }
 
 #[test]
-fn backends_produce_byte_identical_reports_at_any_thread_count() {
-    // The --backend contract: scalar (lane-outer) and batched (lane-inner)
-    // compute backends replay the same per-lane floating-point operation
-    // sequence, so the rendered report must be byte-identical across
-    // backends — and that identity must survive parallel scheduling.
-    let tech = Technology::cmos130();
-    let design = Design::random(&tech, 8, 2005);
-    let nrc = nrc_for(&tech);
-    let run = |threads: usize, backend: BackendKind| {
-        let flow = run_sna_parallel(
-            &design,
-            &nrc,
-            &FlowOptions {
-                threads,
-                mm: MacromodelOptions {
-                    backend,
-                    ..Default::default()
-                },
-                ..Default::default()
-            },
-        )
-        .expect("flow run");
-        to_json(&RunSummary {
-            clusters: 8,
-            seed: 2005,
-            align_worst_case: false,
-            margin_band: 0.1,
-            corners: vec![CornerReport {
-                tech: tech.name.clone(),
-                flow,
-            }],
-        })
-    };
-    let reference = run(1, BackendKind::Scalar);
-    for threads in [1, 3] {
-        for backend in [BackendKind::Scalar, BackendKind::Batched] {
-            assert_eq!(
-                reference,
-                run(threads, backend),
-                "report diverged at threads={threads}, backend={backend:?}"
-            );
-        }
-    }
-}
-
-#[test]
 fn shared_cache_sees_cross_cluster_hits() {
     let tech = Technology::cmos130();
     let design = Design::random(&tech, 12, 42);
