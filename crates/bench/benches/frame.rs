@@ -5,8 +5,8 @@
 //! timing/logic context shrink the candidate space before any simulation
 //! is spent. This bench measures that shrinkage on the paper's Table 2
 //! cluster: the pruned constrained search vs the exhaustive enumeration of
-//! the same candidate space, plus the batched-vs-serial cost of the
-//! unconstrained `worst_case_alignment` grid passes.
+//! the same candidate space. The unconstrained alignment search is timed
+//! end to end by perfbench's `warm_worst_case` workload.
 //!
 //! Three modes, mirroring `benches/sweep.rs`:
 //!
@@ -26,7 +26,6 @@ use sna_cells::Cell;
 use sna_core::cluster::{ClusterMacromodel, SwitchingWindow};
 use sna_core::frame::{constrained_worst_case, FrameOutcome};
 use sna_core::nrc::{characterize_nrc, NoiseRejectionCurve};
-use sna_core::prelude::{worst_case_alignment, worst_case_alignment_batched};
 use sna_core::scenarios::table2_spec;
 use sna_spice::units::{NS, PS};
 
@@ -131,41 +130,7 @@ fn run_case(grid: usize, reps: usize) -> FrameCase {
     }
 }
 
-struct AlignCase {
-    evaluations_serial: usize,
-    evaluations_batched: usize,
-    serial_ms: f64,
-    batched_ms: f64,
-    peak_agreement: f64,
-}
-
-/// Unconstrained `worst_case_alignment` vs its batched twin: same probe
-/// sequence (the 7-point grid pass runs as one K=7 batch), so evaluation
-/// counts match and the wall delta is pure batching overhead/win.
-fn run_align_case(reps: usize) -> AlignCase {
-    let model = ClusterMacromodel::build(&table2_spec()).expect("macromodel");
-    let window = 400.0 * PS;
-    let batched_search = || worst_case_alignment_batched(&model, window, Default::default());
-    let serial = worst_case_alignment(&model, window).unwrap();
-    let batched = batched_search().unwrap();
-    let serial_ms = 1e3
-        * median_secs(reps, || {
-            std::hint::black_box(worst_case_alignment(&model, window).unwrap());
-        });
-    let batched_ms = 1e3
-        * median_secs(reps, || {
-            std::hint::black_box(batched_search().unwrap());
-        });
-    AlignCase {
-        evaluations_serial: serial.evaluations,
-        evaluations_batched: batched.evaluations,
-        serial_ms,
-        batched_ms,
-        peak_agreement: (serial.dp_metrics.peak - batched.dp_metrics.peak).abs(),
-    }
-}
-
-fn emit_json(cases: &[FrameCase], a: &AlignCase) {
+fn emit_json(cases: &[FrameCase]) {
     println!("{{");
     println!("  \"schema\": \"sna-bench-frame-v1\",");
     println!(
@@ -192,13 +157,6 @@ fn emit_json(cases: &[FrameCase], a: &AlignCase) {
             comma
         );
     }
-    println!("  ],");
-    println!("  \"alignment\": [");
-    println!(
-        "    {{\"evaluations_serial\": {}, \"evaluations_batched\": {}, \
-         \"serial_ms\": {:.4}, \"batched_ms\": {:.4}, \"peak_agreement_v\": {:.3e}}}",
-        a.evaluations_serial, a.evaluations_batched, a.serial_ms, a.batched_ms, a.peak_agreement,
-    );
     println!("  ]");
     println!("}}");
 }
@@ -225,22 +183,7 @@ fn self_test() {
     );
     assert_eq!(pruned.margin.to_bits(), full.margin.to_bits());
     assert_eq!(pruned.switch_times, full.switch_times);
-
-    let a = run_align_case(1);
-    assert_eq!(
-        a.evaluations_serial, a.evaluations_batched,
-        "batched alignment changed the probe sequence"
-    );
-    assert!(
-        a.peak_agreement < 1e-6,
-        "alignment peaks deviate {:.3e} V",
-        a.peak_agreement
-    );
-    println!(
-        "frame smoke: prune {:.0}%, align evals {} — ok",
-        c.prune_rate * 100.0,
-        a.evaluations_serial
-    );
+    println!("frame smoke: prune {:.0}% — ok", c.prune_rate * 100.0);
     println!("frame bench self-test: OK");
 }
 
@@ -275,7 +218,7 @@ fn main() {
         .any(|w| w[0] == "--format" && w[1] == "json");
     if json {
         let cases: Vec<FrameCase> = [2usize, 4, 6].iter().map(|&g| run_case(g, 5)).collect();
-        emit_json(&cases, &run_align_case(5));
+        emit_json(&cases);
         return;
     }
     benches();

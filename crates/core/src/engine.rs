@@ -17,17 +17,19 @@
 //! The whole system is a handful of unknowns, which is where the paper's
 //! ~20× speed-up over transistor-level simulation comes from (see
 //! `benches/golden_vs_macro.rs`).
+//!
+//! [`simulate_macromodel`] is the only integrator of the macromodel. The
+//! alignment search and FRAME call it once per timing assignment, on a
+//! [`ClusterMacromodel::with_timing`] copy, so a reported worst case
+//! re-simulates bit for bit.
 
-use sna_cells::characterize::TheveninDriver;
 use sna_spice::backend::BatchedDenseLu;
 use sna_spice::dc::NewtonOptions;
-use sna_spice::devices::SourceWaveform;
 use sna_spice::error::{Error, Result};
 use sna_spice::linalg::DenseMatrix;
-use sna_spice::units::PS;
 use sna_spice::waveform::Waveform;
 
-use crate::cluster::{ClusterMacromodel, InputGlitch};
+use crate::cluster::ClusterMacromodel;
 
 /// Waveforms produced by one noise-analysis run (engine, baseline, or
 /// golden reference) on a cluster.
@@ -52,22 +54,19 @@ impl NoiseWaveforms {
 
 /// Integrate the cluster macromodel. This is the paper's method.
 ///
+/// Each trapezoidal step solves `A·x + b_vic·I_dc(V_in, y) = rhs` by
+/// Newton. The residual is `(A·x + b_vic·z) − rhs`, the step right-hand
+/// side `(M·x + B·(u + u_prev)) − b_vic·f_prev`, and the Jacobian is
+/// factored by a one-lane [`BatchedDenseLu`], whose elimination has no
+/// zero-multiplier skip. These operation orders fix the last bits of
+/// every result; changing them moves alignment and FRAME outcomes by
+/// rounding.
+///
 /// # Errors
 ///
-/// Fails on Newton non-convergence or singular step matrices.
+/// Fails on Newton non-convergence or a singular Newton Jacobian.
 pub fn simulate_macromodel(model: &ClusterMacromodel) -> Result<NoiseWaveforms> {
-    simulate_macromodel_with(model, &NewtonOptions::default())
-}
-
-/// [`simulate_macromodel`] with explicit Newton controls.
-///
-/// # Errors
-///
-/// Fails on Newton non-convergence or singular step matrices.
-pub fn simulate_macromodel_with(
-    model: &ClusterMacromodel,
-    newton: &NewtonOptions,
-) -> Result<NoiseWaveforms> {
+    let newton = NewtonOptions::default();
     let red = &model.reduced;
     let m = red.dim();
     let p = red.n_ports();
@@ -120,76 +119,77 @@ pub fn simulate_macromodel_with(
         acc
     };
 
-    // Newton solve of: A x + b_vic I_dc(vin, y) = rhs.
-    let newton_solve = |a: &DenseMatrix,
-                        rhs: &[f64],
-                        vin: f64,
-                        x0: &[f64],
-                        iters: &mut usize|
-     -> Result<Vec<f64>> {
-        let mut x = x0.to_vec();
-        for _ in 0..newton.max_iter {
-            *iters += 1;
-            let y = y_vic(&x);
-            let eval = model.load_curve.table.eval(vin, y);
-            let mut residual = a.mul_vec(&x);
-            for i in 0..m {
-                residual[i] += red.b[(i, vic)] * eval.z - rhs[i];
-            }
-            let mut jac = a.clone();
-            for i in 0..m {
-                let bi = red.b[(i, vic)];
-                if bi == 0.0 {
-                    continue;
+    // Newton solve of: A x + b_vic I_dc(vin, y) = rhs, updating x in place.
+    let mut jac = BatchedDenseLu::new(m, 1);
+    let mut ax = vec![0.0; m];
+    let mut neg = vec![0.0; m];
+    let mut dx = vec![0.0; m];
+    let mut newton_solve =
+        |a: &DenseMatrix, rhs: &[f64], vin: f64, x: &mut [f64], iters: &mut usize| -> Result<()> {
+            for _ in 0..newton.max_iter {
+                *iters += 1;
+                let eval = model.load_curve.table.eval(vin, y_vic(x));
+                a.mul_vec_into(x, &mut ax);
+                let data = jac.data_mut();
+                for i in 0..m {
+                    let bi = red.b[(i, vic)];
+                    neg[i] = -((ax[i] + bi * eval.z) - rhs[i]);
+                    for j in 0..m {
+                        let mut v = a[(i, j)];
+                        if bi != 0.0 {
+                            v += bi * eval.dz_dy * red.b[(j, vic)];
+                        }
+                        data[i * m + j] = v;
+                    }
                 }
-                for j in 0..m {
-                    jac.add(i, j, bi * eval.dz_dy * red.b[(j, vic)]);
+                if jac.factor().is_err() {
+                    return Err(Error::InvalidAnalysis(
+                        "noise-engine: singular Newton Jacobian".into(),
+                    ));
+                }
+                jac.solve(&neg, &mut dx);
+                let max_dx = dx.iter().fold(0.0_f64, |acc, &v| acc.max(v.abs()));
+                let scale = if max_dx > newton.max_step {
+                    newton.max_step / max_dx
+                } else {
+                    1.0
+                };
+                let mut done = true;
+                for i in 0..m {
+                    let s = scale * dx[i];
+                    x[i] += s;
+                    if s.abs() > newton.reltol * x[i].abs() + newton.vntol {
+                        done = false;
+                    }
+                }
+                if done && scale == 1.0 {
+                    return Ok(());
                 }
             }
-            let neg: Vec<f64> = residual.iter().map(|r| -r).collect();
-            let dx = jac.lu()?.solve(&neg);
-            let max_dx = dx.iter().fold(0.0_f64, |acc, &v| acc.max(v.abs()));
-            let scale = if max_dx > newton.max_step {
-                newton.max_step / max_dx
-            } else {
-                1.0
-            };
-            let mut done = true;
-            for i in 0..m {
-                let s = scale * dx[i];
-                x[i] += s;
-                if s.abs() > newton.reltol * x[i].abs() + newton.vntol {
-                    done = false;
-                }
-            }
-            if done && scale == 1.0 {
-                return Ok(x);
-            }
-        }
-        Err(Error::NonConvergence {
-            analysis: "noise-engine",
-            iterations: newton.max_iter,
-            time: 0.0,
-            residual: f64::NAN,
-        })
-    };
+            Err(Error::NonConvergence {
+                analysis: "noise-engine",
+                iterations: newton.max_iter,
+                time: 0.0,
+                residual: f64::NAN,
+            })
+        };
 
     let mut iters = 0usize;
     // DC initial condition: Geff x + b_vic I_dc = B u(0).
     let u0 = inject(0.0);
     let rhs0 = bu(&u0);
-    let x0 = newton_solve(&geff, &rhs0, model.vin(0.0), &vec![0.0; m], &mut iters)?;
+    let mut x = vec![0.0; m];
+    newton_solve(&geff, &rhs0, model.vin(0.0), &mut x, &mut iters)?;
 
     // Trapezoidal stepping.
     let alpha = 2.0 / dt;
     let mut a_step = geff.clone();
     a_step.axpy(alpha, &red.c);
-    // RHS companion matrix: (alpha C - Geff).
+    // RHS companion matrix M = (alpha C - Geff).
     let mut rhs_mat = DenseMatrix::zeros(m, m);
     rhs_mat.axpy(alpha, &red.c);
     rhs_mat.axpy(-1.0, &geff);
 
-    let mut x = x0;
     let mut u_prev = u0;
     let mut times = Vec::with_capacity(n_steps + 1);
     let mut port_series: Vec<Vec<f64>> = vec![Vec::with_capacity(n_steps + 1); p];
@@ -203,21 +203,22 @@ pub fn simulate_macromodel_with(
     record(&x, &mut port_series);
     // Nonlinear current at the previous accepted point.
     let mut f_prev = model.load_curve.table.eval(model.vin(0.0), y_vic(&x)).z;
+    let mut rhs = vec![0.0; m];
     for step in 1..=n_steps {
         let t = step as f64 * dt;
         let u = inject(t);
-        // rhs = (alpha C - Geff) x0 - b_vic f(y0,t0) + B (u0 + u1)
-        let mut rhs = rhs_mat.mul_vec(&x);
+        let base = rhs_mat.mul_vec(&x);
         let summed: Vec<f64> = u.iter().zip(&u_prev).map(|(a, b)| a + b).collect();
         let binj = bu(&summed);
         for i in 0..m {
-            rhs[i] += binj[i] - red.b[(i, vic)] * f_prev;
+            rhs[i] = (base[i] + binj[i]) - red.b[(i, vic)] * f_prev;
         }
-        x = newton_solve(&a_step, &rhs, model.vin(t), &x, &mut iters)?;
+        let vin = model.vin(t);
+        newton_solve(&a_step, &rhs, vin, &mut x, &mut iters)?;
         times.push(t);
         record(&x, &mut port_series);
         u_prev = u;
-        f_prev = model.load_curve.table.eval(model.vin(t), y_vic(&x)).z;
+        f_prev = model.load_curve.table.eval(vin, y_vic(&x)).z;
     }
     let mk = |series: Vec<f64>| {
         Waveform::from_samples(times.clone(), series).expect("monotone engine time axis")
@@ -238,327 +239,6 @@ pub fn simulate_macromodel_with(
         aggressor_dps,
         newton_iterations: iters,
     })
-}
-
-/// One timing assignment evaluated as a lane of
-/// [`simulate_macromodel_timings`]: the cluster's aggressor switch times
-/// (cluster order) plus an optional glitch-peak override, exactly the
-/// arguments of [`ClusterMacromodel::with_timing`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct TimingLane {
-    /// Per-aggressor input-onset times (s).
-    pub switch_times: Vec<f64>,
-    /// Glitch peak time override (s); `None` keeps the nominal waveform.
-    pub glitch_peak: Option<f64>,
-}
-
-/// Integrate the cluster macromodel at `lanes.len()` timing assignments
-/// simultaneously, K lanes wide.
-///
-/// Characterization artifacts (`Ĝ`/`Ĉ`/`B̂`, the Eq.-1 table, Thevenin
-/// fits) are timing-independent, so every lane shares one effective
-/// conductance and one trapezoidal step matrix; only the injections
-/// `u(t)` and the Newton states differ per lane. The per-step Newton
-/// iteration stamps all lane Jacobians into one [`BatchedDenseLu`] plane
-/// and factors/solves them in a single lane-outer call. Converged lanes
-/// freeze (their state stops updating and their Jacobian slot is stamped
-/// to identity), so each lane's arithmetic sequence is **independent of
-/// which other lanes share the batch** — a candidate evaluated alone,
-/// in a K=4 batch, or in a K=8 batch produces bit-identical waveforms.
-/// This is what lets the FRAME pruned and exhaustive enumerations produce
-/// byte-identical reports for the candidates they share.
-///
-/// # Errors
-///
-/// Fails on Newton non-convergence or a singular lane Jacobian.
-///
-/// # Panics
-///
-/// Panics if a lane's `switch_times` length differs from the cluster's
-/// aggressor count.
-pub fn simulate_macromodel_timings(
-    model: &ClusterMacromodel,
-    lanes: &[TimingLane],
-    newton: &NewtonOptions,
-) -> Result<Vec<NoiseWaveforms>> {
-    if lanes.is_empty() {
-        return Ok(Vec::new());
-    }
-    let red = &model.reduced;
-    let m = red.dim();
-    let p = red.n_ports();
-    let dt = model.spec.dt;
-    let t_stop = model.spec.t_stop;
-    let n_steps = (t_stop / dt).round() as usize;
-    let vic = model.victim_dp_port();
-    let kl = lanes.len();
-
-    // Per-lane event data: shifted Thevenin fits and the (possibly
-    // re-peaked) victim-input waveform — the cheap part of `with_timing`.
-    struct LaneEvents {
-        thevenins: Vec<TheveninDriver>,
-        vin_wave: SourceWaveform,
-    }
-    let events: Vec<LaneEvents> = lanes
-        .iter()
-        .map(|tl| {
-            assert_eq!(
-                tl.switch_times.len(),
-                model.spec.aggressors.len(),
-                "one switch time per aggressor"
-            );
-            let thevenins = tl
-                .switch_times
-                .iter()
-                .zip(&model.spec.aggressors)
-                .zip(&model.thevenins)
-                .map(|((&t_new, agg), th)| th.shifted(t_new - agg.switch_time))
-                .collect();
-            let vin_wave = match (tl.glitch_peak, model.spec.victim.glitch) {
-                (Some(t_peak), Some(g)) => {
-                    InputGlitch { t_peak, ..g }.waveform(model.q_in, model.spec.tech.vdd)
-                }
-                _ => model.vin_wave.clone(),
-            };
-            LaneEvents {
-                thevenins,
-                vin_wave,
-            }
-        })
-        .collect();
-    let h = 0.05 * PS;
-    let dvin_dt = |w: &SourceWaveform, t: f64| (w.eval(t + h) - w.eval(t - h)) / (2.0 * h);
-
-    // Shared Geff = Ĝ + Σ (1/R_TH) b_k b_kᵀ — R_TH is timing-independent.
-    let mut geff = red.g.clone();
-    for (k, th) in model.thevenins.iter().enumerate() {
-        let port = model.aggressor_port(k);
-        let g = 1.0 / th.rth;
-        for i in 0..m {
-            let bi = red.b[(i, port)];
-            if bi == 0.0 {
-                continue;
-            }
-            for j in 0..m {
-                geff.add(i, j, g * bi * red.b[(j, port)]);
-            }
-        }
-    }
-    let inject = |ev: &LaneEvents, t: f64| -> Vec<f64> {
-        let mut u = vec![0.0; p];
-        for (k, th) in ev.thevenins.iter().enumerate() {
-            u[model.aggressor_port(k)] = th.wave.eval(t) / th.rth;
-        }
-        u[vic] += model.c_miller_injection * dvin_dt(&ev.vin_wave, t);
-        u
-    };
-    let bu = |u: &[f64]| -> Vec<f64> {
-        let mut out = vec![0.0; m];
-        for (i, o) in out.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for (pp, up) in u.iter().enumerate() {
-                acc += red.b[(i, pp)] * up;
-            }
-            *o = acc;
-        }
-        out
-    };
-    let y_vic = |x: &[f64]| -> f64 {
-        let mut acc = 0.0;
-        for (i, &xi) in x.iter().enumerate().take(m) {
-            acc += red.b[(i, vic)] * xi;
-        }
-        acc
-    };
-
-    // Batched Newton solve of: A x + b_vic I_dc(vin, y) = rhs, all lanes at
-    // once. Per-lane residual/Jacobian stamping, one plane factor + solve
-    // per iteration, per-lane convergence with frozen masks.
-    let mut jac = BatchedDenseLu::new(m, kl);
-    let mut rhs_plane = vec![0.0; m * kl];
-    let mut dx_plane = vec![0.0; m * kl];
-    let mut iters = vec![0usize; kl];
-    let newton_solve = |a: &DenseMatrix,
-                        rhs: &[Vec<f64>],
-                        vin: &[f64],
-                        x: &mut [Vec<f64>],
-                        iters: &mut [usize],
-                        jac: &mut BatchedDenseLu,
-                        rhs_plane: &mut [f64],
-                        dx_plane: &mut [f64]|
-     -> Result<()> {
-        let mut frozen = vec![false; kl];
-        for _ in 0..newton.max_iter {
-            if frozen.iter().all(|&f| f) {
-                break;
-            }
-            let data = jac.data_mut();
-            for (lane, frz) in frozen.iter().enumerate() {
-                if *frz {
-                    // Identity slot + zero RHS: the factor/solve arithmetic
-                    // of other lanes never reads this lane's values, and
-                    // the zero solution leaves the frozen state untouched.
-                    for i in 0..m {
-                        for j in 0..m {
-                            data[(i * m + j) * kl + lane] = f64::from(u8::from(i == j));
-                        }
-                        rhs_plane[i * kl + lane] = 0.0;
-                    }
-                    continue;
-                }
-                iters[lane] += 1;
-                let y = y_vic(&x[lane]);
-                let eval = model.load_curve.table.eval(vin[lane], y);
-                let residual = a.mul_vec(&x[lane]);
-                for i in 0..m {
-                    let bi = red.b[(i, vic)];
-                    rhs_plane[i * kl + lane] = -(residual[i] + bi * eval.z - rhs[lane][i]);
-                    for j in 0..m {
-                        let mut v = a[(i, j)];
-                        if bi != 0.0 {
-                            v += bi * eval.dz_dy * red.b[(j, vic)];
-                        }
-                        data[(i * m + j) * kl + lane] = v;
-                    }
-                }
-            }
-            if let Err(lane) = jac.factor() {
-                return Err(Error::InvalidAnalysis(format!(
-                    "noise-engine-batched: singular Jacobian in lane {lane}"
-                )));
-            }
-            jac.solve(rhs_plane, dx_plane);
-            for (lane, frz) in frozen.iter_mut().enumerate() {
-                if *frz {
-                    continue;
-                }
-                let mut max_dx = 0.0_f64;
-                for i in 0..m {
-                    max_dx = max_dx.max(dx_plane[i * kl + lane].abs());
-                }
-                let scale = if max_dx > newton.max_step {
-                    newton.max_step / max_dx
-                } else {
-                    1.0
-                };
-                let mut done = true;
-                for i in 0..m {
-                    let s = scale * dx_plane[i * kl + lane];
-                    x[lane][i] += s;
-                    if s.abs() > newton.reltol * x[lane][i].abs() + newton.vntol {
-                        done = false;
-                    }
-                }
-                if done && scale == 1.0 {
-                    *frz = true;
-                }
-            }
-        }
-        if frozen.iter().all(|&f| f) {
-            Ok(())
-        } else {
-            Err(Error::NonConvergence {
-                analysis: "noise-engine-batched",
-                iterations: newton.max_iter,
-                time: 0.0,
-                residual: f64::NAN,
-            })
-        }
-    };
-
-    // DC initial condition per lane: Geff x + b_vic I_dc = B u(0).
-    let u0: Vec<Vec<f64>> = events.iter().map(|ev| inject(ev, 0.0)).collect();
-    let rhs0: Vec<Vec<f64>> = u0.iter().map(|u| bu(u)).collect();
-    let vin0: Vec<f64> = events.iter().map(|ev| ev.vin_wave.eval(0.0)).collect();
-    let mut x: Vec<Vec<f64>> = vec![vec![0.0; m]; kl];
-    newton_solve(
-        &geff,
-        &rhs0,
-        &vin0,
-        &mut x,
-        &mut iters,
-        &mut jac,
-        &mut rhs_plane,
-        &mut dx_plane,
-    )?;
-
-    // Trapezoidal stepping, all lanes in lockstep (shared time axis).
-    let alpha = 2.0 / dt;
-    let mut a_step = geff.clone();
-    a_step.axpy(alpha, &red.c);
-    let mut rhs_mat = DenseMatrix::zeros(m, m);
-    rhs_mat.axpy(alpha, &red.c);
-    rhs_mat.axpy(-1.0, &geff);
-
-    let mut u_prev = u0;
-    let mut times = Vec::with_capacity(n_steps + 1);
-    let mut port_series: Vec<Vec<Vec<f64>>> = vec![vec![Vec::with_capacity(n_steps + 1); p]; kl];
-    let record = |x: &[f64], series: &mut [Vec<f64>]| {
-        let ys = red.port_voltages(x);
-        for (s, y) in series.iter_mut().zip(ys) {
-            s.push(y);
-        }
-    };
-    times.push(0.0);
-    let mut f_prev: Vec<f64> = Vec::with_capacity(kl);
-    for lane in 0..kl {
-        record(&x[lane], &mut port_series[lane]);
-        f_prev.push(model.load_curve.table.eval(vin0[lane], y_vic(&x[lane])).z);
-    }
-    let mut rhs: Vec<Vec<f64>> = vec![vec![0.0; m]; kl];
-    let mut vin_t = vec![0.0; kl];
-    for step in 1..=n_steps {
-        let t = step as f64 * dt;
-        let mut u_now: Vec<Vec<f64>> = Vec::with_capacity(kl);
-        for lane in 0..kl {
-            let u = inject(&events[lane], t);
-            let r = &mut rhs[lane];
-            let base = rhs_mat.mul_vec(&x[lane]);
-            let summed: Vec<f64> = u.iter().zip(&u_prev[lane]).map(|(a, b)| a + b).collect();
-            let binj = bu(&summed);
-            for i in 0..m {
-                r[i] = base[i] + binj[i] - red.b[(i, vic)] * f_prev[lane];
-            }
-            vin_t[lane] = events[lane].vin_wave.eval(t);
-            u_now.push(u);
-        }
-        newton_solve(
-            &a_step,
-            &rhs,
-            &vin_t,
-            &mut x,
-            &mut iters,
-            &mut jac,
-            &mut rhs_plane,
-            &mut dx_plane,
-        )?;
-        times.push(t);
-        for lane in 0..kl {
-            record(&x[lane], &mut port_series[lane]);
-            f_prev[lane] = model.load_curve.table.eval(vin_t[lane], y_vic(&x[lane])).z;
-        }
-        u_prev = u_now;
-    }
-    let mut out = Vec::with_capacity(kl);
-    for (lane, series) in port_series.into_iter().enumerate() {
-        let mut by_port: Vec<Waveform> = Vec::with_capacity(p);
-        for s in series {
-            by_port
-                .push(Waveform::from_samples(times.clone(), s).expect("monotone engine time axis"));
-        }
-        let dp = by_port[model.victim_dp_port()].clone();
-        let receiver = by_port[model.victim_receiver_port()].clone();
-        let aggressor_dps = (0..model.thevenins.len())
-            .map(|k| by_port[model.aggressor_port(k)].clone())
-            .collect();
-        out.push(NoiseWaveforms {
-            dp,
-            receiver,
-            aggressor_dps,
-            newton_iterations: iters[lane],
-        });
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -622,67 +302,6 @@ mod tests {
             "combined {} <= injected {}",
             combined.peak,
             injected.peak
-        );
-    }
-
-    #[test]
-    fn batched_lanes_are_composition_independent() {
-        // The same timing assignment must produce bit-identical waveforms
-        // whether it runs alone, in a small batch, or in a large batch —
-        // the property the FRAME pruned-vs-exhaustive byte-identity gate
-        // rests on.
-        let spec = table1_spec();
-        let model = ClusterMacromodel::build(&spec).unwrap();
-        let newton = NewtonOptions::default();
-        use sna_spice::units::NS;
-        let lane = |t: f64| TimingLane {
-            switch_times: vec![t],
-            glitch_peak: None,
-        };
-        let solo = simulate_macromodel_timings(&model, &[lane(0.5 * NS)], &newton).unwrap();
-        let batch = simulate_macromodel_timings(
-            &model,
-            &[
-                lane(0.3 * NS),
-                lane(0.5 * NS),
-                lane(0.8 * NS),
-                lane(1.1 * NS),
-            ],
-            &newton,
-        )
-        .unwrap();
-        let a = solo[0].receiver.values();
-        let b = batch[1].receiver.values();
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(b) {
-            assert_eq!(x.to_bits(), y.to_bits(), "lane diverged across batches");
-        }
-        assert_eq!(solo[0].newton_iterations, batch[1].newton_iterations);
-    }
-
-    #[test]
-    fn batched_single_lane_matches_serial_engine_closely() {
-        let spec = table1_spec();
-        let model = ClusterMacromodel::build(&spec).unwrap();
-        let serial = simulate_macromodel(&model).unwrap();
-        let batched = simulate_macromodel_timings(
-            &model,
-            &[TimingLane {
-                switch_times: vec![model.spec.aggressors[0].switch_time],
-                glitch_peak: None,
-            }],
-            &NewtonOptions::default(),
-        )
-        .unwrap();
-        let sm = serial.dp_metrics(model.q_out);
-        let bm = batched[0].dp_metrics(model.q_out);
-        // Different LU arithmetic (serial factors vs batched plane), so
-        // only numerical closeness is guaranteed.
-        assert!(
-            (sm.peak - bm.peak).abs() < 1e-9,
-            "serial {} vs batched {}",
-            sm.peak,
-            bm.peak
         );
     }
 

@@ -9,8 +9,8 @@
 //! (PAPERS.md), this module enumerates the discrete alignment-candidate
 //! space implied by those constraints, kills infeasible candidates with
 //! interval arithmetic **before** any simulation, and evaluates the
-//! survivors K-at-a-time through the batched macromodel engine
-//! ([`simulate_macromodel_timings`]).
+//! survivors one at a time with the macromodel engine
+//! ([`simulate_macromodel`]) on [`ClusterMacromodel::with_timing`] copies.
 //!
 //! Candidate-space semantics:
 //!
@@ -31,17 +31,12 @@
 
 use sna_obs::{count, Metric};
 use sna_spice::backend::BackendKind;
-use sna_spice::dc::NewtonOptions;
 use sna_spice::error::{Error, Result};
 use sna_spice::waveform::GlitchMetrics;
 
 use crate::cluster::ClusterMacromodel;
-use crate::engine::{simulate_macromodel_timings, TimingLane};
+use crate::engine::simulate_macromodel;
 use crate::nrc::NoiseRejectionCurve;
-
-/// How many lanes one batched engine call carries. Lane arithmetic is
-/// batch-composition-independent, so this is purely a working-set knob.
-const BATCH_K: usize = 8;
 
 /// Hard cap on the enumerated candidate space — beyond this the
 /// constraint set is too loose for discrete enumeration to make sense.
@@ -206,10 +201,9 @@ fn candidate_times(
 }
 
 /// Enumerate the constrained alignment space of `model`, prune
-/// infeasible candidates (unless `exhaustive`), evaluate the survivors
-/// through the batched engine, and return the worst (minimum-margin)
-/// feasible outcome. Ties break toward the earliest candidate in
-/// enumeration order, making the result independent of batching.
+/// infeasible candidates (unless `exhaustive`), simulate the survivors
+/// one at a time, and return the worst (minimum-margin) feasible outcome.
+/// Ties break toward the earliest candidate in enumeration order.
 ///
 /// `grid` is the number of window sample points per constrained
 /// aggressor; `exhaustive` simulates every structural candidate instead
@@ -238,7 +232,7 @@ pub fn constrained_worst_case(
     }
     counters.considered = space;
 
-    // Mixed-radix enumeration, feasibility classification, batch fill.
+    // Mixed-radix enumeration and feasibility classification.
     let mut digits = vec![0usize; sets.len()];
     let mut feasible: Vec<(Vec<f64>, Vec<bool>)> = Vec::new();
     loop {
@@ -270,30 +264,18 @@ pub fn constrained_worst_case(
     }
     counters.simulated = feasible.len() as u64;
 
-    // Batched evaluation, K lanes at a time. Lane arithmetic is
-    // batch-composition-independent, so chunking cannot change results.
-    let newton = NewtonOptions::default();
     let mut best: Option<(f64, GlitchMetrics, usize)> = None;
-    for (chunk_idx, chunk) in feasible.chunks(BATCH_K).enumerate() {
-        let lanes: Vec<TimingLane> = chunk
-            .iter()
-            .map(|(times, _)| TimingLane {
-                switch_times: times.clone(),
-                glitch_peak: None,
-            })
-            .collect();
-        let waves = simulate_macromodel_timings(model, &lanes, &newton)?;
-        for (off, w) in waves.iter().enumerate() {
-            let rm = w.receiver.glitch_metrics(model.q_out);
-            let margin = nrc.margin(rm.width, rm.peak);
-            let idx = chunk_idx * BATCH_K + off;
-            let replace = match &best {
-                None => true,
-                Some((m, _, _)) => margin.total_cmp(m).is_lt(),
-            };
-            if replace {
-                best = Some((margin, rm, idx));
-            }
+    for (idx, (times, _)) in feasible.iter().enumerate() {
+        let rm = simulate_macromodel(&model.with_timing(times, None))?
+            .receiver
+            .glitch_metrics(model.q_out);
+        let margin = nrc.margin(rm.width, rm.peak);
+        let replace = match &best {
+            None => true,
+            Some((m, _, _)) => margin.total_cmp(m).is_lt(),
+        };
+        if replace {
+            best = Some((margin, rm, idx));
         }
     }
     let (margin, receiver_metrics, idx) = best.expect("feasible set contains all-Off");
@@ -420,6 +402,25 @@ mod tests {
         assert_eq!(pruned.counters.simulated, full.counters.simulated);
         assert_eq!(pruned.margin.to_bits(), full.margin.to_bits());
         assert_eq!(pruned.switch_times, full.switch_times);
+    }
+
+    #[test]
+    fn reported_worst_candidate_re_simulates_bitwise() {
+        // The reported receiver metrics are the engine's own at the
+        // reported switch times: re-running it there reproduces every bit.
+        let mut spec = table2_spec();
+        spec.aggressors[0].window = Some(SwitchingWindow::new(0.3 * NS, 0.6 * NS));
+        spec.aggressors[1].mexcl_group = Some(2);
+        let model = ClusterMacromodel::build(&spec).unwrap();
+        let out = constrained_worst_case(&model, &nrc(), 3, false, Default::default()).unwrap();
+        let again = simulate_macromodel(&model.with_timing(&out.switch_times, None))
+            .unwrap()
+            .receiver
+            .glitch_metrics(model.q_out);
+        let bits = |g: &GlitchMetrics| {
+            [g.peak, g.polarity, g.peak_time, g.width, g.area].map(f64::to_bits)
+        };
+        assert_eq!(bits(&out.receiver_metrics), bits(&again));
     }
 
     use proptest::prelude::*;

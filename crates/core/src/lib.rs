@@ -18,7 +18,7 @@
 //! * [`nrc`] — noise rejection curves and sign-off classification.
 //! * [`alignment`] — worst-case aggressor/glitch alignment search.
 //! * [`frame`] — FRAME-style timing-window / mutual-exclusion aggressor
-//!   correlation pruning with batched candidate evaluation.
+//!   correlation pruning ahead of candidate simulation.
 //! * [`sna`] — a full static-noise-analysis flow over synthetic designs
 //!   (the "complete methodology" the paper lists as future work).
 //! * [`report`] — the paper-style comparison tables.
@@ -42,22 +42,17 @@ pub mod zolotov;
 pub use cluster::{
     AggressorSpec, ClusterMacromodel, ClusterSpec, InputGlitch, SwitchingWindow, VictimSpec,
 };
-pub use engine::{simulate_macromodel, simulate_macromodel_timings, NoiseWaveforms, TimingLane};
+pub use engine::{simulate_macromodel, NoiseWaveforms};
 pub use golden::simulate_golden;
 
 /// Convenient glob-import surface.
 pub mod prelude {
-    pub use crate::alignment::{
-        worst_case_alignment, worst_case_alignment_batched, AlignmentResult,
-    };
+    pub use crate::alignment::{worst_case_alignment, AlignmentResult};
     pub use crate::cluster::{
         AggressorSpec, ClusterMacromodel, ClusterSpec, InputGlitch, MacromodelOptions, PortRole,
         SwitchingWindow, VictimSpec,
     };
-    pub use crate::engine::{
-        simulate_macromodel, simulate_macromodel_timings, simulate_macromodel_with, NoiseWaveforms,
-        TimingLane,
-    };
+    pub use crate::engine::{simulate_macromodel, NoiseWaveforms};
     pub use crate::frame::{constrained_worst_case, FrameCounters, FrameOutcome};
     pub use crate::golden::{build_golden_circuit, simulate_golden};
     pub use crate::library::{ArtifactKind, KindStats, LibraryStats, NoiseModelLibrary};

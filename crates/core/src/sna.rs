@@ -20,7 +20,7 @@ use sna_spice::error::Result;
 use sna_spice::units::{NS, PS};
 use sna_spice::waveform::GlitchMetrics;
 
-use crate::alignment::worst_case_alignment_batched;
+use crate::alignment::worst_case_alignment;
 use crate::cluster::{
     AggressorSpec, ClusterMacromodel, ClusterSpec, InputGlitch, MacromodelOptions, VictimSpec,
 };
@@ -255,7 +255,7 @@ pub fn analyze_cluster(
 ) -> Result<ClusterFinding> {
     let model = ClusterMacromodel::build_with_library(&cluster.spec, mm_opts, library)?;
     let waves = if opts.align_worst_case {
-        let res = worst_case_alignment_batched(&model, opts.align_window, Default::default())?;
+        let res = worst_case_alignment(&model, opts.align_window)?;
         let timed = model.with_timing(&res.switch_times, res.glitch_peak_time);
         simulate_macromodel(&timed)?
     } else {

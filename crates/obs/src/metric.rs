@@ -70,7 +70,7 @@ pub enum Metric {
     FramePrunedWindow,
     /// Window-surviving candidates pruned by mutual-exclusion groups.
     FramePrunedMexcl,
-    /// Feasible candidates actually simulated by the batched engine.
+    /// Feasible candidates actually simulated by the noise engine.
     FrameSimulated,
 }
 

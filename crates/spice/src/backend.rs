@@ -1,17 +1,18 @@
 //! K-lane dense LU over one struct-of-arrays data plane.
 //!
-//! [`crate::sweep::BatchedSweep`] and the batched noise engine carry `K`
-//! value vectors through assembly, factorization, and triangular solves in
-//! struct-of-arrays layout. [`BatchedDenseLu`] is the dense kernel of that
-//! path and [`crate::sparse::BatchedSparseLu`] the sparse one. Both loop
+//! [`crate::sweep::BatchedSweep`] carries `K` value vectors through
+//! assembly, factorization, and triangular solves in struct-of-arrays
+//! layout. [`BatchedDenseLu`] is the dense kernel of that path and
+//! [`crate::sparse::BatchedSparseLu`] the sparse one. Both loop
 //! lane-outermost, replaying the serial kernel once per lane: on systems of
 //! a handful of unknowns and 4–8 lanes, lane-innermost loops measured
-//! slower (README, "K-lane sweep architecture").
+//! slower (README, "K-lane sweep architecture"). The macromodel noise
+//! engine factors its Newton Jacobian with a one-lane [`BatchedDenseLu`].
 
 /// A compute-backend selector with a single value, read by nothing in the
 /// workspace. It stays only because `perfbench/` still sets
-/// `CharacterizeOptions::backend` and passes a value to
-/// `worst_case_alignment_batched` and `constrained_worst_case`; it goes
+/// `CharacterizeOptions::backend` and passes a value to the alignment
+/// search's old-name forwarder and to `constrained_worst_case`; it goes
 /// when that benchmark stops doing so.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum BackendKind {
@@ -64,12 +65,6 @@ impl BatchedDenseLu {
     /// Lane count.
     pub fn k(&self) -> usize {
         self.k
-    }
-
-    /// The SoA data plane (`data[(i * n + j) * k + lane]`) — valid matrix
-    /// entries before a factor call, L/U factors afterwards.
-    pub fn data(&self) -> &[f64] {
-        &self.data
     }
 
     /// Mutable SoA data plane, for loading matrix values and stamping.

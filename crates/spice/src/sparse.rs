@@ -711,21 +711,6 @@ impl BatchedSparseLu {
         }
     }
 
-    /// The prototype factorization providing pattern and pivot sequence.
-    pub fn proto(&self) -> &SparseLu {
-        &self.proto
-    }
-
-    /// Lane count.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Dimension of each lane's system.
-    pub fn n(&self) -> usize {
-        self.proto.n
-    }
-
     fn check_refactor_dims(&self, a: &SparseMatrix, vals: &[f64]) {
         assert_eq!(a.n, self.proto.n, "batched refactor dimension mismatch");
         assert_eq!(
