@@ -16,17 +16,3 @@
 //!
 //! Run everything with `cargo bench` and the binaries with
 //! `cargo run --release -p sna-bench --bin <name>`.
-
-/// Format a signed percentage column the way the paper prints them.
-pub fn fmt_pct(v: f64) -> String {
-    format!("{v:+.1}")
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn fmt_pct_matches_paper_style() {
-        assert_eq!(super::fmt_pct(-22.04), "-22.0");
-        assert_eq!(super::fmt_pct(2.6), "+2.6");
-    }
-}

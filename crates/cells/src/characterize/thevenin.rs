@@ -2,7 +2,7 @@
 //!
 //! Aggressor drivers in the cluster macromodel are linear Thevenin
 //! equivalents — a saturated-ramp EMF `V_TH` behind a driving resistance
-//! `R_TH` — "obtained as in [7]" (Dartu & Pileggi, DAC'97). Two points of
+//! `R_TH` — "obtained as in \[7\]" (Dartu & Pileggi, DAC'97). Two points of
 //! that reference matter for accuracy:
 //!
 //! * the fit must be performed against the driver's **actual load** — for

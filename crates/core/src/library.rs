@@ -34,11 +34,13 @@
 //! hash) with atomically aggregated hit/miss counters, so a parallel flow
 //! (`sna-flow`) can share one library by `&` reference across worker
 //! threads: concurrent lookups of *different* cells proceed without
-//! contention, and a cache hit never blocks behind a characterization in
-//! progress (characterization runs outside any lock). Two threads racing on
-//! the same cold key may both characterize; the artifacts are deterministic
-//! functions of the key, so whichever insert lands first wins and results
-//! are identical either way. Entries remember whether they came off disk,
+//! contention, and a hit on a filled key never blocks (characterization
+//! runs outside every shard lock). Lookups are single-flight per key: of
+//! the threads that miss one cold key together, the first characterizes it
+//! and counts the miss while the rest wait for it and count hits, so every
+//! artifact is characterized once and the hit/miss counts do not depend on
+//! the thread count. A failed characterization is not cached; the next
+//! caller retries it. Entries remember whether they came off disk,
 //! so [`LibraryStats`] can split hits into warm-process hits and
 //! `disk_hits`, and count `disk_misses` (artifacts a loaded cache did not
 //! contain) and `stale_rejected` (on-disk entries refused at load time).
@@ -47,7 +49,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 
 use sna_cells::characterize::{
     characterize_load_curve, characterize_propagated_noise_with, characterize_thevenin_with,
@@ -68,25 +70,14 @@ use crate::nrc::{characterize_nrc_with, NoiseRejectionCurve};
 pub mod cache;
 
 /// Stable `(tag, argument)` encoding of a [`SolverKind`] for fingerprints
-/// and the on-disk cache format.
+/// and the on-disk cache format. Tag 1 (with a crossover argument) belonged
+/// to a removed tunable-threshold variant and stays reserved, so existing
+/// fingerprints and cache files keep their bytes.
 pub fn solver_code(solver: SolverKind) -> (u8, u64) {
     match solver {
         SolverKind::Auto => (0, 0),
-        SolverKind::AutoThreshold(n) => (1, n as u64),
         SolverKind::Dense => (2, 0),
         SolverKind::Sparse => (3, 0),
-    }
-}
-
-/// Inverse of [`solver_code`]; `None` for an unknown tag (e.g. a cache
-/// file written by a future schema).
-pub fn solver_from_code(tag: u8, arg: u64) -> Option<SolverKind> {
-    match tag {
-        0 => Some(SolverKind::Auto),
-        1 => Some(SolverKind::AutoThreshold(arg as usize)),
-        2 => Some(SolverKind::Dense),
-        3 => Some(SolverKind::Sparse),
-        _ => None,
     }
 }
 
@@ -409,14 +400,26 @@ impl<V> Entry<V> {
     }
 }
 
-/// A hash-sharded `RwLock<HashMap>`: readers of different shards never
-/// contend, and writers only lock the one shard their key hashes to.
+/// One key's place in a [`ShardedMap`]: empty until the key's first
+/// characterization succeeds (or a disk load fills it). `fill` is held
+/// while characterizing, so racing callers of the same key wait for the
+/// first one instead of repeating its work.
 #[derive(Debug)]
-struct ShardedMap<K, V> {
-    shards: Vec<RwLock<HashMap<K, V>>>,
+struct Slot<V> {
+    value: OnceLock<V>,
+    fill: Mutex<()>,
 }
 
-impl<K: Hash + Eq, V: Clone> ShardedMap<K, V> {
+/// A hash-sharded `RwLock<HashMap>` of [`Slot`]s: readers of different
+/// shards never contend, and writers only lock the one shard their key
+/// hashes to, and only to add a slot. Every accessor sees filled slots
+/// only.
+#[derive(Debug)]
+struct ShardedMap<K, V> {
+    shards: Vec<RwLock<HashMap<K, Arc<Slot<V>>>>>,
+}
+
+impl<K: Hash + Eq, V> ShardedMap<K, V> {
     fn new() -> Self {
         ShardedMap {
             shards: (0..SHARD_COUNT)
@@ -425,56 +428,63 @@ impl<K: Hash + Eq, V: Clone> ShardedMap<K, V> {
         }
     }
 
-    fn shard(&self, key: &K) -> &RwLock<HashMap<K, V>> {
+    fn shard(&self, key: &K) -> &RwLock<HashMap<K, Arc<Slot<V>>>> {
         let mut h = DefaultHasher::new();
         key.hash(&mut h);
         &self.shards[h.finish() as usize % SHARD_COUNT]
     }
 
-    fn get(&self, key: &K) -> Option<V> {
-        self.shard(key)
+    /// The slot for `key`, added empty if the key is new.
+    fn slot(&self, key: K) -> Arc<Slot<V>> {
+        let shard = self.shard(&key);
+        if let Some(slot) = shard
             .read()
             .unwrap_or_else(PoisonError::into_inner)
-            .get(key)
-            .cloned()
+            .get(&key)
+        {
+            return Arc::clone(slot);
+        }
+        let mut map = shard.write().unwrap_or_else(PoisonError::into_inner);
+        Arc::clone(map.entry(key).or_insert_with(|| {
+            Arc::new(Slot {
+                value: OnceLock::new(),
+                fill: Mutex::new(()),
+            })
+        }))
     }
 
-    /// Insert `value` unless a racing thread beat us to the key; either
-    /// way, return the value that ended up in the map.
-    fn insert_if_absent(&self, key: K, value: V) -> V {
-        self.shard(&key)
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .entry(key)
-            .or_insert(value)
-            .clone()
-    }
-
-    fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().unwrap_or_else(PoisonError::into_inner).len())
-            .sum()
+    /// Fill `key` with `value` unless it is filled already.
+    fn insert_if_absent(&self, key: K, value: V) {
+        // An `Err` means the key was filled first; that value stays.
+        let _ = self.slot(key).value.set(value);
     }
 
     fn shard_len(&self, i: usize) -> usize {
         self.shards[i]
             .read()
             .unwrap_or_else(PoisonError::into_inner)
-            .len()
+            .values()
+            .filter(|slot| slot.value.get().is_some())
+            .count()
     }
 
-    /// Visit every entry (shard by shard, under the read lock).
+    fn len(&self) -> usize {
+        (0..SHARD_COUNT).map(|i| self.shard_len(i)).sum()
+    }
+
+    /// Visit every filled entry (shard by shard, under the read lock).
     fn for_each(&self, mut f: impl FnMut(&K, &V)) {
         for s in &self.shards {
-            for (k, v) in s.read().unwrap_or_else(PoisonError::into_inner).iter() {
-                f(k, v);
+            for (k, slot) in s.read().unwrap_or_else(PoisonError::into_inner).iter() {
+                if let Some(v) = slot.value.get() {
+                    f(k, v);
+                }
             }
         }
     }
 }
 
-impl<K: Hash + Eq, V: Clone> Default for ShardedMap<K, V> {
+impl<K: Hash + Eq, V> Default for ShardedMap<K, V> {
     fn default() -> Self {
         Self::new()
     }
@@ -570,6 +580,37 @@ impl NoiseModelLibrary {
         self.stale_counts[kind as usize].fetch_add(1, Ordering::Relaxed);
     }
 
+    /// The artifact `map` holds for `key`, characterized on first use. The
+    /// caller that finds the key empty characterizes it while holding the
+    /// key's `fill` lock (no shard lock) and counts the miss; callers that
+    /// race it wait on that lock, then find the value and count a hit. A
+    /// failed characterization leaves the key empty, so the next caller
+    /// retries it.
+    fn get_or_characterize<K: Hash + Eq, V: Clone>(
+        &self,
+        map: &ShardedMap<K, Entry<V>>,
+        kind: ArtifactKind,
+        key: K,
+        characterize: impl FnOnce() -> Result<V>,
+    ) -> Result<V> {
+        let slot = map.slot(key);
+        // An empty key may be mid-characterization by a racer: wait for it.
+        // The lock guards no data, so a poisoned one is safe to take over.
+        let _fill = slot
+            .value
+            .get()
+            .is_none()
+            .then(|| slot.fill.lock().unwrap_or_else(PoisonError::into_inner));
+        if let Some(hit) = slot.value.get() {
+            self.record_hit(kind, hit.from_disk);
+            return Ok(hit.value.clone());
+        }
+        self.record_miss(kind);
+        let value = characterize()?;
+        // A disk load may have filled the key meanwhile; its value wins.
+        Ok(slot.value.get_or_init(|| Entry::fresh(value)).value.clone())
+    }
+
     /// The Eq. (1) load curve for `(cell, mode)` at the grid in `opts`,
     /// characterized on first use.
     ///
@@ -583,17 +624,10 @@ impl NoiseModelLibrary {
         opts: &CharacterizeOptions,
     ) -> Result<Arc<LoadCurve>> {
         let key = CellKey::new(cell, mode, opts);
-        if let Some(hit) = self.load_curves.get(&key) {
-            self.record_hit(ArtifactKind::LoadCurve, hit.from_disk);
-            return Ok(hit.value);
-        }
-        self.record_miss(ArtifactKind::LoadCurve);
-        let _t = phase_span(Phase::LoadCurve);
-        let lc = Arc::new(characterize_load_curve(cell, mode, opts)?);
-        Ok(self
-            .load_curves
-            .insert_if_absent(key, Entry::fresh(lc))
-            .value)
+        self.get_or_characterize(&self.load_curves, ArtifactKind::LoadCurve, key, || {
+            let _t = phase_span(Phase::LoadCurve);
+            Ok(Arc::new(characterize_load_curve(cell, mode, opts)?))
+        })
     }
 
     /// Holding resistance for `(cell, mode)`, characterized on first use.
@@ -608,14 +642,10 @@ impl NoiseModelLibrary {
         opts: &CharacterizeOptions,
     ) -> Result<f64> {
         let key = CellKey::new(cell, mode, opts);
-        if let Some(hit) = self.holding.get(&key) {
-            self.record_hit(ArtifactKind::HoldingR, hit.from_disk);
-            return Ok(hit.value);
-        }
-        self.record_miss(ArtifactKind::HoldingR);
-        let _t = phase_span(Phase::HoldingR);
-        let r = holding_resistance(cell, mode, &opts.newton)?;
-        Ok(self.holding.insert_if_absent(key, Entry::fresh(r)).value)
+        self.get_or_characterize(&self.holding, ArtifactKind::HoldingR, key, || {
+            let _t = phase_span(Phase::HoldingR);
+            holding_resistance(cell, mode, &opts.newton)
+        })
     }
 
     /// Propagated-noise table for `(cell, mode)` at the load bucket
@@ -636,33 +666,26 @@ impl NoiseModelLibrary {
     ) -> Result<Arc<PropagatedNoiseTable>> {
         let bucket = load_bucket(load_cap)?;
         let key = (CellKey::new(cell, mode, opts), bucket);
-        if let Some(hit) = self.prop_tables.get(&key) {
-            self.record_hit(ArtifactKind::PropTable, hit.from_disk);
-            return Ok(hit.value);
-        }
-        self.record_miss(ArtifactKind::PropTable);
-        let _t = phase_span(Phase::PropTable);
-        let vdd = cell.tech.vdd;
-        let heights: Vec<f64> = [0.25, 0.45, 0.65, 0.85, 1.05]
-            .iter()
-            .map(|f| f * vdd)
-            .collect();
-        let widths: Vec<f64> = [150.0, 300.0, 600.0, 1200.0]
-            .iter()
-            .map(|w| w * PS)
-            .collect();
-        let table = Arc::new(characterize_propagated_noise_with(
-            cell,
-            mode,
-            bucket_cap(bucket),
-            &heights,
-            &widths,
-            opts,
-        )?);
-        Ok(self
-            .prop_tables
-            .insert_if_absent(key, Entry::fresh(table))
-            .value)
+        self.get_or_characterize(&self.prop_tables, ArtifactKind::PropTable, key, || {
+            let _t = phase_span(Phase::PropTable);
+            let vdd = cell.tech.vdd;
+            let heights: Vec<f64> = [0.25, 0.45, 0.65, 0.85, 1.05]
+                .iter()
+                .map(|f| f * vdd)
+                .collect();
+            let widths: Vec<f64> = [150.0, 300.0, 600.0, 1200.0]
+                .iter()
+                .map(|w| w * PS)
+                .collect();
+            Ok(Arc::new(characterize_propagated_noise_with(
+                cell,
+                mode,
+                bucket_cap(bucket),
+                &heights,
+                &widths,
+                opts,
+            )?))
+        })
     }
 
     /// Thevenin aggressor fit for `cell` switching into `load`,
@@ -687,15 +710,11 @@ impl NoiseModelLibrary {
         opts: &CharacterizeOptions,
     ) -> Result<Arc<TheveninDriver>> {
         let key = TheveninKey::new(cell, rising, input_slew, load, opts);
-        if let Some(hit) = self.thevenins.get(&key) {
-            self.record_hit(ArtifactKind::Thevenin, hit.from_disk);
-            return Ok(hit.value);
-        }
-        self.record_miss(ArtifactKind::Thevenin);
-        let th = Arc::new(characterize_thevenin_with(
-            cell, rising, input_slew, load, opts,
-        )?);
-        Ok(self.thevenins.insert_if_absent(key, Entry::fresh(th)).value)
+        self.get_or_characterize(&self.thevenins, ArtifactKind::Thevenin, key, || {
+            Ok(Arc::new(characterize_thevenin_with(
+                cell, rising, input_slew, load, opts,
+            )?))
+        })
     }
 
     /// Noise-rejection curve for `receiver` over the given width grid,
@@ -712,13 +731,11 @@ impl NoiseModelLibrary {
         solver: SolverKind,
     ) -> Result<Arc<NoiseRejectionCurve>> {
         let key = NrcKey::new(receiver, input_low, widths, solver);
-        if let Some(hit) = self.nrcs.get(&key) {
-            self.record_hit(ArtifactKind::Nrc, hit.from_disk);
-            return Ok(hit.value);
-        }
-        self.record_miss(ArtifactKind::Nrc);
-        let curve = Arc::new(characterize_nrc_with(receiver, input_low, widths, solver)?);
-        Ok(self.nrcs.insert_if_absent(key, Entry::fresh(curve)).value)
+        self.get_or_characterize(&self.nrcs, ArtifactKind::Nrc, key, || {
+            Ok(Arc::new(characterize_nrc_with(
+                receiver, input_low, widths, solver,
+            )?))
+        })
     }
 }
 
@@ -1019,5 +1036,59 @@ mod tests {
         let st = lib.stats();
         assert_eq!(st.hits + st.misses, 4);
         assert!(st.misses >= 1);
+    }
+
+    #[test]
+    fn racing_lookups_of_one_key_characterize_it_once() {
+        let tech = Technology::cmos130();
+        let cell = Cell::inv(tech, 1.0);
+        let mode = cell.holding_low_mode();
+        let opts = CharacterizeOptions {
+            grid: 9,
+            ..Default::default()
+        };
+        let lib = NoiseModelLibrary::new();
+        let start = std::sync::Barrier::new(4);
+        let curves: Vec<Arc<LoadCurve>> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        lib.load_curve(&cell, &mode, &opts).unwrap()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        // The first caller characterizes; the other three wait for it and
+        // are served its artifact.
+        let st = lib.stats().kind(ArtifactKind::LoadCurve);
+        assert_eq!((st.misses, st.hits), (1, 3));
+        assert!(curves.iter().all(|c| Arc::ptr_eq(c, &curves[0])));
+        assert_eq!(lib.len(), 1);
+    }
+
+    #[test]
+    fn failed_characterization_is_retried_not_cached() {
+        let tech = Technology::cmos130();
+        let cell = Cell::inv(tech, 1.0);
+        let mode = cell.holding_low_mode();
+        let opts = CharacterizeOptions {
+            grid: 1, // too small: characterization fails
+            ..Default::default()
+        };
+        let lib = NoiseModelLibrary::new();
+        assert!(lib.load_curve(&cell, &mode, &opts).is_err());
+        assert!(lib.is_empty());
+        assert_eq!(lib.stats().shard_occupancy, [0; SHARD_COUNT]);
+        assert_eq!(
+            lib.to_cache_bytes(),
+            NoiseModelLibrary::new().to_cache_bytes()
+        );
+        // The next caller characterizes again rather than being served the
+        // failure.
+        assert!(lib.load_curve(&cell, &mode, &opts).is_err());
+        let st = lib.stats().kind(ArtifactKind::LoadCurve);
+        assert_eq!((st.misses, st.hits), (2, 0));
     }
 }

@@ -114,11 +114,6 @@ impl MethodComparison {
     pub fn speedup(&self) -> f64 {
         self.golden.runtime.as_secs_f64() / self.macromodel.runtime.as_secs_f64().max(1e-9)
     }
-
-    /// All non-golden rows.
-    pub fn estimate_rows(&self) -> [&ComparisonRow; 3] {
-        [&self.superposition, &self.zolotov, &self.macromodel]
-    }
 }
 
 impl fmt::Display for MethodComparison {

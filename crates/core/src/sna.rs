@@ -9,7 +9,7 @@
 //!
 //! [`run_sna`] walks the design serially; the `sna-flow` crate drives the
 //! same per-cluster kernel ([`analyze_cluster`]) from a worker pool with a
-//! shared [`NoiseModelLibrary`](crate::library::NoiseModelLibrary) for
+//! shared [`NoiseModelLibrary`] for
 //! full-chip runs.
 
 use rand::rngs::StdRng;

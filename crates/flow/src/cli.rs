@@ -6,7 +6,6 @@
 //! tested; the binary is a thin `main`.
 
 use sna_cells::Technology;
-use sna_spice::solver::SolverKind;
 use sna_spice::units::PS;
 
 use crate::corners::corner_by_name;
@@ -57,10 +56,6 @@ pub struct CliConfig {
     pub strict: bool,
     /// Report format.
     pub format: Format,
-    /// Linear-solver selection for the interconnect-reduction (PRIMA)
-    /// solves *and* every characterization analysis (DC sweeps, NRC
-    /// bisection and propagated-noise transients).
-    pub solver: SolverKind,
     /// Write an `sna-metrics-v1` JSON document here after the run.
     pub metrics: Option<String>,
     /// Write a chrome-trace (`chrome://tracing` / Perfetto) JSON here.
@@ -101,7 +96,6 @@ impl Default for CliConfig {
             guard_band: 0.1,
             strict: false,
             format: Format::Text,
-            solver: SolverKind::Auto,
             metrics: None,
             profile: None,
             log_level: LogLevel::Normal,
@@ -160,11 +154,6 @@ OPTIONS:
     --strict              abort on the first per-cluster failure instead of
                           downgrading it to a skipped-net diagnostic
     --format <F>          text | json | csv                   [default: text]
-    --solver <S>          auto | auto:<N> | dense | sparse    [default: auto]
-                          linear-solver selection for the interconnect-
-                          reduction (PRIMA) solves and every
-                          characterization analysis; auto:<N> switches to
-                          sparse at system dimension N
     --windows <FILE>      FRAME constraint file: per-aggressor switching
                           windows and mutual-exclusion groups (plus victim
                           sensitivity windows) applied to the generated
@@ -240,20 +229,6 @@ pub fn parse_args(args: &[String]) -> Result<CliConfig, String> {
                     "json" => Format::Json,
                     "csv" => Format::Csv,
                     other => return Err(format!("unknown format '{other}'")),
-                };
-            }
-            "--solver" => {
-                let raw: String = parse_value(arg, it.next())?;
-                cfg.solver = match raw.as_str() {
-                    "auto" => SolverKind::Auto,
-                    "dense" => SolverKind::Dense,
-                    "sparse" => SolverKind::Sparse,
-                    other => match other.strip_prefix("auto:") {
-                        Some(t) => SolverKind::AutoThreshold(t.parse().map_err(|_| {
-                            format!("bad auto threshold '{t}' in --solver {other}")
-                        })?),
-                        None => return Err(format!("unknown solver '{other}'")),
-                    },
                 };
             }
             "--deck" => cfg.deck = Some(parse_value(arg, it.next())?),
@@ -338,10 +313,7 @@ pub fn run(cfg: &CliConfig) -> sna_spice::error::Result<String> {
             frame_grid: cfg.frame_grid,
             frame_exhaustive: cfg.frame_exhaustive,
         },
-        mm: sna_core::cluster::MacromodelOptions {
-            solver: cfg.solver,
-            ..Default::default()
-        },
+        mm: sna_core::cluster::MacromodelOptions::default(),
         threads: cfg.threads,
     };
     let library = sna_core::library::NoiseModelLibrary::new();
@@ -447,7 +419,6 @@ fn run_deck_mode(cfg: &CliConfig, deck: &str) -> sna_spice::error::Result<String
         guard_band: cfg.guard_band,
         strict: cfg.strict,
         threads,
-        solver: cfg.solver,
     };
     let started = std::time::Instant::now();
     let report = run_deck_file(std::path::Path::new(deck), &opts)?;
@@ -537,31 +508,6 @@ mod tests {
         assert_eq!(cfg.guard_band, 0.05);
         assert!(cfg.strict);
         assert_eq!(cfg.format, Format::Json);
-        assert_eq!(cfg.solver, SolverKind::Auto);
-    }
-
-    #[test]
-    fn solver_flag_parses_all_backends() {
-        for (raw, want) in [
-            ("auto", SolverKind::Auto),
-            ("dense", SolverKind::Dense),
-            ("sparse", SolverKind::Sparse),
-        ] {
-            let cfg = parse_args(&args(&["--solver", raw])).unwrap();
-            assert_eq!(cfg.solver, want);
-        }
-        assert!(parse_args(&args(&["--solver", "magic"]))
-            .unwrap_err()
-            .contains("unknown solver"));
-    }
-
-    #[test]
-    fn solver_auto_threshold_parses() {
-        let cfg = parse_args(&args(&["--solver", "auto:64"])).unwrap();
-        assert_eq!(cfg.solver, SolverKind::AutoThreshold(64));
-        assert!(parse_args(&args(&["--solver", "auto:lots"]))
-            .unwrap_err()
-            .contains("bad auto threshold"));
     }
 
     #[test]

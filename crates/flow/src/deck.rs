@@ -46,8 +46,6 @@ pub struct DeckOptions {
     pub strict: bool,
     /// Worker threads for the per-case fan-out.
     pub threads: usize,
-    /// Linear-solver backend shared by both lanes.
-    pub solver: SolverKind,
 }
 
 impl Default for DeckOptions {
@@ -59,7 +57,6 @@ impl Default for DeckOptions {
             guard_band: 0.1,
             strict: false,
             threads: 1,
-            solver: SolverKind::Auto,
         }
     }
 }
@@ -240,11 +237,9 @@ fn analyze_case(parsed: &ParsedDeck, card: &SnaCard, opts: &DeckOptions) -> Resu
     }
 
     let lanes = [noisy, quiet];
-    let mut sweep = BatchedSweep::new(&lanes, opts.solver)?;
-    let mut params = *tran;
-    params.solver = opts.solver;
+    let mut sweep = BatchedSweep::new(&lanes, SolverKind::Auto)?;
     let ics = parsed.resolve_ics();
-    let results = sweep.transient_with_ics(&lanes, &params, &ics)?;
+    let results = sweep.transient_with_ics(&lanes, tran, &ics)?;
     let noisy = results[0].node_waveform(victim);
     let still = results[1].node_waveform(victim);
     let noise = noisy.sub(&still);

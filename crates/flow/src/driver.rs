@@ -6,9 +6,9 @@
 //! [`NoiseModelLibrary`] so characterization artifacts are paid for once
 //! per (cell, drive-state, load-bucket) rather than once per thread. The
 //! merge is order-preserving, so the report at `threads = N` is identical
-//! to the report at `threads = 1` — cache *statistics* are the only thing
-//! allowed to vary run-to-run (two workers racing on a cold key may both
-//! characterize; the artifacts are deterministic, the counters are not).
+//! to the report at `threads = 1`. So are the cache hit/miss counts: the
+//! library characterizes each key once however many workers ask for it
+//! together.
 
 use sna_core::cluster::MacromodelOptions;
 use sna_core::library::{LibraryStats, NoiseModelLibrary};
@@ -36,8 +36,7 @@ pub struct FlowReport {
     /// The noise report, in design order — byte-identical across thread
     /// counts.
     pub report: NoiseReport,
-    /// Shared-cache hit/miss counters (diagnostic; may vary run-to-run
-    /// under cold-cache races).
+    /// Shared-cache hit/miss counters (identical across thread counts).
     pub cache: LibraryStats,
     /// Worker count actually used.
     pub threads: usize,

@@ -462,10 +462,7 @@ impl ServeState {
                 frame_grid: cfg.frame_grid,
                 frame_exhaustive: cfg.frame_exhaustive,
             },
-            mm: MacromodelOptions {
-                solver: cfg.solver,
-                ..Default::default()
-            },
+            mm: MacromodelOptions::default(),
             threads: cfg.threads,
         };
         let mut design = Design::random(&tech, cfg.clusters, cfg.seed);

@@ -5,7 +5,7 @@
 //! with no resistive path to ground have `M0 = 0`). These moments are the
 //! raw material of every reduction in this crate — the paper obtains its
 //! coupled driving-point model "with moment-matching techniques following
-//! the approach presented in [8]" (Forzan et al., CICC'98).
+//! the approach presented in \[8\]" (Forzan et al., CICC'98).
 //!
 //! Computation: add a 0 V source at every port, factor the MNA conductance
 //! matrix once, then run the classic recursion `G·x₀ = b`, `G·x_{k+1} =

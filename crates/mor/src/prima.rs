@@ -3,7 +3,7 @@
 //! The workhorse reduction behind the cluster macromodel: a block-Arnoldi
 //! Krylov basis of the shifted system `(G + s₀C)⁻¹C` projected by
 //! congruence onto the port incidence. This is the modern formulation of
-//! the moment-matched multiport macromodel the paper's reference [8]
+//! the moment-matched multiport macromodel the paper's reference \[8\]
 //! ("coupled-S model") constructs — it matches block moments at `s₀` while
 //! preserving the RC network's passivity structure, and keeps *all* ports
 //! (victim driving point, aggressor driving points, receiver taps) visible

@@ -34,15 +34,18 @@ pub enum Metric {
     DcGminFallbacks,
     /// DC solves that had to enter the source-stepping fallback.
     DcSourceStepFallbacks,
-    /// Transient analyses run (fixed-step and adaptive).
+    /// Fixed-step transient analyses run.
     TranCalls,
-    /// Accepted transient time steps (fixed-step: all steps).
+    /// Transient time steps taken.
     TranSteps,
     /// Newton iterations inside transient steps (0 for linear circuits).
     TranNewtonIterations,
-    /// Adaptive steps accepted by the local-truncation-error test.
+    /// Always 0: kept only so the `sna-metrics-v1` document keeps its
+    /// `accepted_steps` key until the next schema version drops it (no
+    /// transient runs a step-size controller).
     TranAcceptedSteps,
-    /// Adaptive steps rejected (halved and retried).
+    /// Always 0: kept only so the `sna-metrics-v1` document keeps its
+    /// `rejected_steps` key until the next schema version drops it.
     TranRejectedSteps,
     /// Batched K-lane sweep analyses run (DC or transient).
     SweepCalls,

@@ -56,14 +56,6 @@ impl MetricsRegistry {
         guard.push(Arc::clone(&rec));
         (rec, guard.len() - 1)
     }
-
-    /// Number of recorders registered so far (threads that ever counted).
-    pub fn thread_count(&self) -> usize {
-        self.recorders
-            .lock()
-            .expect("metrics registry poisoned")
-            .len()
-    }
 }
 
 struct LocalHandle {

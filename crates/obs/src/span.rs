@@ -47,7 +47,7 @@ pub enum Phase {
     Reduce,
     /// DC operating-point Newton ladder.
     Dc,
-    /// Transient analysis (fixed-step or adaptive).
+    /// Fixed-step transient analysis.
     Tran,
     /// Batched K-lane sweep analysis.
     Sweep,

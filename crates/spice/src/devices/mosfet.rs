@@ -51,7 +51,8 @@ pub struct MosfetModel {
 const SOFT_VOV: f64 = 0.010;
 
 /// Evaluated device currents and small-signal derivatives, in the *internal*
-/// NMOS-normalized, source/drain-ordered frame (see [`MosfetModel::eval`]).
+/// NMOS-normalized, source/drain-ordered frame (see
+/// [`MosfetModel::eval_terminal`], which maps it to the terminals).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MosfetEval {
     /// Drain current (A), flowing drain→source internally.
@@ -81,7 +82,7 @@ impl MosfetModel {
 
     /// Evaluate the NMOS-normalized model with `vds >= 0` assumed.
     /// Callers must handle polarity and source/drain swapping (see
-    /// [`MosfetModel::eval`]).
+    /// [`MosfetModel::eval_terminal`]).
     fn eval_normalized(&self, vgs: f64, vds: f64, vbs: f64, w_over_l: f64) -> MosfetEval {
         debug_assert!(vds >= 0.0);
         let (vt, dvt_dvbs) = self.vt_eff(vbs);

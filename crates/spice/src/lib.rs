@@ -14,7 +14,7 @@
 //!   non-linear stamps).
 //! * [`dc`] — Newton–Raphson operating point with gmin/source stepping,
 //!   sweeps, small-signal input conductance (holding resistance).
-//! * [`tran`] — fixed-step trapezoidal / backward-Euler transient.
+//! * [`tran`] — fixed-step trapezoidal transient.
 //! * [`devices`] — source waveforms, the smoothed Shichman–Hodges MOSFET,
 //!   and the bilinear [`devices::Table2d`] behind the paper's Eq. (1).
 //! * [`waveform`] — sampled waveforms and glitch metrics (peak/width/area).
@@ -29,8 +29,8 @@
 //!   batched kernels.
 //! * [`sweep`] — [`sweep::BatchedSweep`], the K-lane batched value plane
 //!   over [`solver::SystemSolver`]: one symbolic analysis and one pattern,
-//!   `K` struct-of-arrays value vectors through DC Newton and both
-//!   transient steppers (corner sweeps, characterization grids).
+//!   `K` struct-of-arrays value vectors through DC Newton and the
+//!   transient stepper (corner sweeps, characterization grids).
 //!
 //! ## Quickstart
 //!
@@ -93,11 +93,7 @@ pub mod prelude {
     pub use crate::solver::{SolverKind, SystemSolver, SPARSE_AUTO_THRESHOLD};
     pub use crate::sparse::{BatchedSparseLu, SparseLu, SparseMatrix, Symbolic};
     pub use crate::sweep::BatchedSweep;
-    pub use crate::tran::{
-        transient, transient_adaptive, transient_adaptive_with, transient_adaptive_with_ics,
-        transient_with, transient_with_ics, AdaptiveOptions, Integrator, TranParams, TranResult,
-        TranWorkspace,
-    };
+    pub use crate::tran::{transient, transient_with, TranParams, TranResult, TranWorkspace};
     pub use crate::units::*;
     pub use crate::waveform::{GlitchError, GlitchMetrics, Waveform};
 }

@@ -744,16 +744,6 @@ impl Circuit {
         }
         Ok(())
     }
-
-    /// Rebuild the name→index map (needed after deserialization, where the
-    /// map is skipped).
-    pub fn rebuild_index(&mut self) {
-        self.node_index.clear();
-        for (i, n) in self.node_names.iter().enumerate() {
-            self.node_index.insert(n.to_ascii_lowercase(), i);
-        }
-        self.node_index.insert("gnd".into(), 0);
-    }
 }
 
 /// Circuits compare by observable content: node names (in interning order)

@@ -1215,7 +1215,7 @@ pub fn parse_deck(deck: &str) -> Result<ParsedDeck> {
 
 /// Parse a SPICE deck from a file, expanding `.include` cards relative to
 /// the directory of the file containing them (nesting limited to
-/// [`MAX_INCLUDE_DEPTH`], cycles detected via canonical paths). Parse
+/// `MAX_INCLUDE_DEPTH`, cycles detected via canonical paths). Parse
 /// errors name the file they occurred in and the line within that file.
 ///
 /// # Errors

@@ -1,13 +1,15 @@
 //! Linear-solver selection: one front-end over the dense LU of [`crate::linalg`]
 //! and the sparse symbolic/numeric LU of [`crate::sparse`].
 //!
-//! Every repeated solve in the workspace — Newton iterations in DC,
-//! per-step systems in transient, PRIMA's shifted solves — goes through
-//! [`SystemSolver`], which owns the assembled linear part (`G`, `C`, their
-//! combination `G + α·C`), the Jacobian being stamped, and the factors.
-//! The backend is chosen once per system by [`SolverKind`]: tiny gate-only
-//! circuits keep the cache-friendly dense path, finely segmented
-//! interconnect switches to sparse, and both can be forced for A/B testing.
+//! Every repeated solve in the workspace — Newton iterations in DC, the
+//! per-step trapezoidal systems in transient, PRIMA's shifted solves — goes
+//! through [`SystemSolver`], which owns the assembled linear part (`G`, `C`,
+//! their combination `G + α·C`), the Jacobian being stamped, and the
+//! factors. The backend is chosen once per system by [`SolverKind`]: `Auto`
+//! keeps tiny gate-only circuits on the cache-friendly dense path and
+//! switches finely segmented interconnect to sparse at
+//! [`SPARSE_AUTO_THRESHOLD`]; `Dense` and `Sparse` force a path, so tests
+//! can use each as the other's oracle.
 
 use serde::{Deserialize, Serialize};
 use sna_obs::{count, phase_span, Metric, Phase};
@@ -31,12 +33,6 @@ pub enum SolverKind {
     /// sparse at or above it.
     #[default]
     Auto,
-    /// Dimension-based auto selection with a caller-chosen crossover
-    /// instead of the measured [`SPARSE_AUTO_THRESHOLD`]: dense below the
-    /// given unknown count, sparse at or above it (`--solver auto:N` on
-    /// the CLI). Lets deployments re-tune the crossover for their own
-    /// cache hierarchy without a rebuild.
-    AutoThreshold(usize),
     /// Force the dense LU path.
     Dense,
     /// Force the sparse symbolic/numeric LU path.
@@ -48,30 +44,8 @@ impl SolverKind {
     pub fn is_sparse_for(self, dim: usize) -> bool {
         match self {
             SolverKind::Auto => dim >= SPARSE_AUTO_THRESHOLD,
-            SolverKind::AutoThreshold(t) => dim >= t,
             SolverKind::Dense => false,
             SolverKind::Sparse => true,
-        }
-    }
-}
-
-/// A standalone factorization (dense or sparse) of one `G + α·C` matrix,
-/// cached by the adaptive transient per step size.
-#[derive(Debug, Clone)]
-pub enum OwnedFactor {
-    /// Dense LU factors.
-    Dense(LuFactors),
-    /// Sparse LU factors (boxed: the struct is large).
-    Sparse(Box<SparseLu>),
-}
-
-impl OwnedFactor {
-    /// Solve `A·x = b`; `work` is scratch of the system dimension (unused
-    /// by the dense backend).
-    pub fn solve_into(&self, b: &[f64], x: &mut [f64], work: &mut [f64]) {
-        match self {
-            OwnedFactor::Dense(lu) => lu.solve_into(b, x),
-            OwnedFactor::Sparse(lu) => lu.solve_into(b, x, work),
         }
     }
 }
@@ -219,10 +193,10 @@ impl SystemSolver {
                 // The stored pivot sequence stays: α only rescales the
                 // capacitive part of a diagonally-dominant MNA matrix, so
                 // the next [`SystemSolver::factor_jacobian`] replays it as
-                // a numeric refactor (the adaptive stepper flips between h
-                // and h/2 every step). A pivot that does collapse under the
-                // new values makes `refactor` report singular, and
-                // `factor_jacobian` falls back to a cold factor with a
+                // a numeric refactor (a transient after a DC solve on one
+                // workspace switches α from 0). A pivot that does collapse
+                // under the new values makes `refactor` report singular,
+                // and `factor_jacobian` falls back to a cold factor with a
                 // fresh pivot search.
             }
         }
@@ -330,33 +304,6 @@ impl SystemSolver {
         self.factor_jacobian()
     }
 
-    /// Cold-factor the current base into a standalone [`OwnedFactor`]
-    /// (cached per step size by the adaptive transient). Does not disturb
-    /// the solver's own factor state.
-    ///
-    /// # Errors
-    ///
-    /// [`crate::Error::SingularMatrix`] on a singular base matrix.
-    pub fn factor_base_owned(&mut self) -> Result<OwnedFactor> {
-        let _t = phase_span(Phase::Factor);
-        match &mut self.backend {
-            Backend::Dense { base, .. } => {
-                count(Metric::SolverFactorsDense, 1);
-                Ok(OwnedFactor::Dense(base.lu()?))
-            }
-            Backend::Sparse {
-                jac,
-                base_vals,
-                sym,
-                ..
-            } => {
-                count(Metric::SolverFactorsSparse, 1);
-                jac.values_mut().copy_from_slice(base_vals);
-                Ok(OwnedFactor::Sparse(Box::new(SparseLu::factor(jac, sym)?)))
-            }
-        }
-    }
-
     /// Solve with the factors from the last
     /// [`SystemSolver::factor_jacobian`]/[`SystemSolver::factor_base`].
     /// Allocation-free.
@@ -406,33 +353,6 @@ mod tests {
         assert!(SolverKind::Auto.is_sparse_for(SPARSE_AUTO_THRESHOLD));
         assert!(!SolverKind::Dense.is_sparse_for(10_000));
         assert!(SolverKind::Sparse.is_sparse_for(2));
-    }
-
-    #[test]
-    fn custom_auto_threshold_overrides_constant() {
-        // Regression at the boundary dimension: the tunable crossover must
-        // flip exactly at its own value, independent of the built-in one.
-        for t in [2, SPARSE_AUTO_THRESHOLD / 2, SPARSE_AUTO_THRESHOLD * 2] {
-            let kind = SolverKind::AutoThreshold(t);
-            assert!(!kind.is_sparse_for(t - 1), "dim {} must stay dense", t - 1);
-            assert!(kind.is_sparse_for(t), "dim {t} must go sparse");
-        }
-        // A tunable set to the measured constant behaves exactly like Auto.
-        let tuned = SolverKind::AutoThreshold(SPARSE_AUTO_THRESHOLD);
-        for dim in [SPARSE_AUTO_THRESHOLD - 1, SPARSE_AUTO_THRESHOLD] {
-            assert_eq!(
-                tuned.is_sparse_for(dim),
-                SolverKind::Auto.is_sparse_for(dim)
-            );
-        }
-        // And the selection is honored end-to-end by a real system.
-        let ckt = ladder(40);
-        let mna = MnaSystem::new(&ckt).unwrap();
-        let dim = mna.dim();
-        let low = SystemSolver::new(&mna, &ckt, SolverKind::AutoThreshold(dim));
-        assert!(low.is_sparse());
-        let high = SystemSolver::new(&mna, &ckt, SolverKind::AutoThreshold(dim + 1));
-        assert!(!high.is_sparse());
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! struct-of-arrays layout (`plane[slot * k + lane]`), on the lane-outer
 //! kernels of [`BatchedDenseLu`] and [`BatchedSparseLu`].
 //!
-//! The per-lane arithmetic mirrors the serial [`SystemSolver`] paths, so
+//! The per-lane arithmetic mirrors the serial
+//! [`SystemSolver`](crate::solver::SystemSolver) paths, so
 //! batched results track `K` independent serial solves to well below any
 //! physical tolerance. Newton loops keep a per-lane convergence mask:
 //! converged lanes stop stamping and updating while the remaining lanes
@@ -27,9 +28,7 @@ use crate::mna::MnaSystem;
 use crate::netlist::{Circuit, NodeId};
 use crate::solver::SolverKind;
 use crate::sparse::{BatchedSparseLu, SparseLu, SparseMatrix, Symbolic};
-use crate::tran::{
-    circuit_topology_hash, circuit_value_hash, AdaptiveOptions, Integrator, TranParams, TranResult,
-};
+use crate::tran::{circuit_topology_hash, circuit_value_hash, TranParams, TranResult};
 
 /// Numeric state of a sweep: dense planes or one shared sparse pattern
 /// with SoA value planes.
@@ -295,11 +294,10 @@ fn state_stamp_lane(
 ///
 /// Built once from `K` circuits that share wiring (they may differ in
 /// element values and source waveforms), then driven through
-/// [`BatchedSweep::dc_operating_points`], [`BatchedSweep::transient`], or
-/// [`BatchedSweep::transient_adaptive`] — each call re-validated against
-/// the construction-time fingerprint exactly like
-/// [`crate::tran::TranWorkspace`] reuse: only source waveforms may change
-/// between calls.
+/// [`BatchedSweep::dc_operating_points`] or [`BatchedSweep::transient`] —
+/// each call re-validated against the construction-time fingerprint
+/// exactly like [`crate::tran::TranWorkspace`] reuse: only source
+/// waveforms may change between calls.
 pub struct BatchedSweep {
     k: usize,
     kind: SolverKind,
@@ -307,8 +305,9 @@ pub struct BatchedSweep {
     dim: usize,
     n_nodes: usize,
     alpha: f64,
-    /// Base-factor memo for the linear adaptive stepper: `Some(α)` when the
-    /// current factors are the base at that α with no non-linear stamps.
+    /// Base-factor memo: `Some(α)` when the current factors are the linear
+    /// base at that α with no non-linear stamps, so repeated linear DC
+    /// calls on one sweep back-substitute without refactoring.
     factored_base_alpha: Option<f64>,
     state: State,
     // Construction-time fingerprints guarding reuse.
@@ -523,8 +522,8 @@ impl BatchedSweep {
         state_set_alpha(&mut self.state, alpha);
     }
 
-    /// Factor the linear base `G + α·C` for all lanes (memoized on α for
-    /// the adaptive stepper's h/h-half alternation).
+    /// Factor the linear base `G + α·C` for all lanes (memoized on α, so a
+    /// linear sweep's repeated DC calls factor once).
     fn factor_base(&mut self) -> Result<()> {
         if self.factored_base_alpha == Some(self.alpha) {
             return Ok(());
@@ -715,13 +714,12 @@ impl BatchedSweep {
     }
 
     /// Masked Newton solve of `(G + α·C)x + f(x) = rhs` on the `x` plane
-    /// (used by both transient steppers). Returns total per-lane iteration
-    /// count; errors with the given analysis tag if any lane fails.
+    /// (one transient step). Returns total per-lane iteration count; errors
+    /// if any lane fails.
     fn newton_step_lanes(
         &mut self,
         circuits: &[Circuit],
         newton: &NewtonOptions,
-        analysis: &'static str,
         t1: f64,
     ) -> Result<usize> {
         let (k, dim) = (self.k, self.dim);
@@ -804,7 +802,7 @@ impl BatchedSweep {
                 }
             }
             return Err(Error::NonConvergence {
-                analysis,
+                analysis: "tran",
                 iterations: newton.max_iter,
                 time: t1,
                 residual: max_res,
@@ -830,10 +828,13 @@ impl BatchedSweep {
         self.transient_with_ics(circuits, params, &[])
     }
 
-    /// [`Self::transient`] with explicit node initial conditions applied to
-    /// every lane after DC initialization (or the zero state), mirroring
-    /// [`crate::tran::transient_with_ics`]. Ground and unknown nodes are
-    /// ignored.
+    /// [`Self::transient`] plus `.IC` initial-condition overrides: after
+    /// the DC solve (or the all-zeros `UIC` start when `dc_init` is false),
+    /// each listed node's starting voltage is forced to the given value in
+    /// every lane before stepping begins. This is the SPICE `.IC`
+    /// approximation — the override biases the initial state rather than
+    /// adding a constraint row, so the first steps relax any resulting KCL
+    /// imbalance. Ground and unknown nodes are ignored.
     ///
     /// # Errors
     ///
@@ -877,10 +878,7 @@ impl BatchedSweep {
                 }
             }
         }
-        let alpha = match params.method {
-            Integrator::BackwardEuler => 1.0 / params.dt,
-            Integrator::Trapezoidal => 2.0 / params.dt,
-        };
+        let alpha = 2.0 / params.dt;
         self.set_alpha(alpha);
         let linear = !self.mna.has_nonlinear();
         if linear {
@@ -923,24 +921,7 @@ impl BatchedSweep {
         record(&self.x, 0.0, &mut times, &mut traces, &mut branch);
         self.fill_b_cur(circuits, 0.0);
         std::mem::swap(&mut self.b_prev, &mut self.b_cur);
-        self.f_prev.fill(0.0);
-        if matches!(params.method, Integrator::Trapezoidal) {
-            let Self {
-                mna,
-                state,
-                f_prev,
-                x,
-                lane_v,
-                lane_r,
-                ..
-            } = self;
-            for (lane, ckt) in circuits.iter().enumerate() {
-                gather_lane(x, k, lane, lane_v);
-                lane_r.fill(0.0);
-                state_stamp_lane(state, mna, ckt, lane_v, lane_r, k, lane, false);
-                scatter_lane(lane_r, k, lane, f_prev);
-            }
-        }
+        self.stamp_f_prev(circuits);
         let mut total_newton = 0usize;
         for step in 1..=n_steps {
             let t1 = step as f64 * params.dt;
@@ -957,236 +938,48 @@ impl BatchedSweep {
                     ..
                 } = self;
                 state_c_mul(state, dim, k, x, scratch);
-                match params.method {
-                    Integrator::BackwardEuler => {
-                        for i in 0..dim * k {
-                            rhs[i] = b_cur[i] + alpha * scratch[i];
-                        }
-                    }
-                    Integrator::Trapezoidal => {
-                        for i in 0..dim * k {
-                            rhs[i] = b_cur[i] + b_prev[i] - f_prev[i] + alpha * scratch[i];
-                        }
-                        state_g_mul(state, dim, k, x, scratch);
-                        for i in 0..dim * k {
-                            rhs[i] -= scratch[i];
-                        }
-                    }
+                for i in 0..dim * k {
+                    rhs[i] = b_cur[i] + b_prev[i] - f_prev[i] + alpha * scratch[i];
+                }
+                state_g_mul(state, dim, k, x, scratch);
+                for i in 0..dim * k {
+                    rhs[i] -= scratch[i];
                 }
             }
             if linear {
                 state_solve(&mut self.state, &self.rhs, &mut self.x_next);
                 std::mem::swap(&mut self.x, &mut self.x_next);
             } else {
-                total_newton += self.newton_step_lanes(circuits, &params.newton, "tran", t1)?;
+                total_newton += self.newton_step_lanes(circuits, &params.newton, t1)?;
             }
             record(&self.x, t1, &mut times, &mut traces, &mut branch);
             std::mem::swap(&mut self.b_prev, &mut self.b_cur);
-            if matches!(params.method, Integrator::Trapezoidal) {
-                self.f_prev.fill(0.0);
-                let Self {
-                    mna,
-                    state,
-                    f_prev,
-                    x,
-                    lane_v,
-                    lane_r,
-                    ..
-                } = self;
-                for (lane, ckt) in circuits.iter().enumerate() {
-                    gather_lane(x, k, lane, lane_v);
-                    lane_r.fill(0.0);
-                    state_stamp_lane(state, mna, ckt, lane_v, lane_r, k, lane, false);
-                    scatter_lane(lane_r, k, lane, f_prev);
-                }
-            }
+            self.stamp_f_prev(circuits);
         }
         count(Metric::SweepSteps, n_steps as u64);
         Ok(self.collect_results(circuits, times, traces, branch, total_newton))
     }
 
-    /// Batched adaptive transient: backward Euler with step-doubling error
-    /// control, all lanes marching in lock-step on the worst lane's local
-    /// truncation estimate (so the shared factorization is reused across
-    /// lanes at every trial step). Mirrors
-    /// [`crate::tran::transient_adaptive_with`] with the lane dimension
-    /// added.
-    ///
-    /// # Errors
-    ///
-    /// As [`crate::tran::transient_adaptive_with`], plus fingerprint
-    /// mismatches.
-    pub fn transient_adaptive(
-        &mut self,
-        circuits: &[Circuit],
-        opts: &AdaptiveOptions,
-    ) -> Result<Vec<TranResult>> {
-        if opts.dt_init.is_nan()
-            || opts.dt_init <= 0.0
-            || opts.dt_min.is_nan()
-            || opts.dt_min <= 0.0
-            || opts.dt_max.is_nan()
-            || opts.dt_max < opts.dt_min
-            || opts.t_stop.is_nan()
-            || opts.t_stop <= opts.dt_min
-            || opts.ltol.is_nan()
-            || opts.ltol <= 0.0
-        {
-            return Err(Error::InvalidAnalysis(format!(
-                "bad adaptive window: t_stop={}, dt_init={}, dt_min={}, dt_max={}, ltol={}",
-                opts.t_stop, opts.dt_init, opts.dt_min, opts.dt_max, opts.ltol
-            )));
+    /// Fill `self.f_prev` with every lane's non-linear residual `f(x)` at
+    /// the current `x` plane (the trapezoidal rule's previous-point term).
+    fn stamp_f_prev(&mut self, circuits: &[Circuit]) {
+        let k = self.k;
+        self.f_prev.fill(0.0);
+        let Self {
+            mna,
+            state,
+            f_prev,
+            x,
+            lane_v,
+            lane_r,
+            ..
+        } = self;
+        for (lane, ckt) in circuits.iter().enumerate() {
+            gather_lane(x, k, lane, lane_v);
+            lane_r.fill(0.0);
+            state_stamp_lane(state, mna, ckt, lane_v, lane_r, k, lane, false);
+            scatter_lane(lane_r, k, lane, f_prev);
         }
-        self.check(circuits)?;
-        let _t = phase_span(Phase::Sweep);
-        count(Metric::SweepCalls, 1);
-        count(Metric::SweepLanes, self.k as u64);
-        let (k, dim, n_nodes) = (self.k, self.dim, self.n_nodes);
-        if opts.dc_init {
-            let mut newton = opts.newton;
-            newton.solver = self.kind;
-            self.dc_operating_points(circuits, &newton, None)?;
-        } else {
-            self.x.fill(0.0);
-        }
-        let mut x_full = vec![0.0; dim * k];
-        let mut x_mid = vec![0.0; dim * k];
-        let mut x_half = vec![0.0; dim * k];
-        let est_points = ((opts.t_stop / opts.dt_init) as usize)
-            .saturating_add(2)
-            .min(1 << 20);
-        let mut times = Vec::with_capacity(est_points);
-        times.push(0.0);
-        let mut traces: Vec<Vec<Vec<f64>>> = (0..k)
-            .map(|lane| {
-                (0..n_nodes)
-                    .map(|n| {
-                        let mut v = Vec::with_capacity(est_points);
-                        v.push(self.x[n * k + lane]);
-                        v
-                    })
-                    .collect()
-            })
-            .collect();
-        let n_vsrc = self.mna.vsources().len();
-        let vb: Vec<usize> = self.mna.vsource_branches().to_vec();
-        let mut branch: Vec<Vec<Vec<f64>>> = (0..k)
-            .map(|lane| {
-                (0..n_vsrc)
-                    .map(|s| {
-                        let mut v = Vec::with_capacity(est_points);
-                        v.push(self.x[vb[s] * k + lane]);
-                        v
-                    })
-                    .collect()
-            })
-            .collect();
-        let mut t = 0.0;
-        let mut h = opts.dt_init.clamp(opts.dt_min, opts.dt_max);
-        let mut total_newton = 0usize;
-        // Accepted state travels in a local plane; `self.x` stays a
-        // full-size Newton scratch for `be_step_lanes`.
-        let mut x0 = self.x.clone();
-        while t < opts.t_stop - 1e-21 {
-            h = h.min(opts.t_stop - t).max(opts.dt_min);
-            self.be_step_lanes(
-                circuits,
-                &x0,
-                t,
-                h,
-                &opts.newton,
-                &mut x_full,
-                &mut total_newton,
-            )?;
-            self.be_step_lanes(
-                circuits,
-                &x0,
-                t,
-                0.5 * h,
-                &opts.newton,
-                &mut x_mid,
-                &mut total_newton,
-            )?;
-            self.be_step_lanes(
-                circuits,
-                &x_mid,
-                t + 0.5 * h,
-                0.5 * h,
-                &opts.newton,
-                &mut x_half,
-                &mut total_newton,
-            )?;
-            let err = x_full
-                .iter()
-                .zip(&x_half)
-                .fold(0.0_f64, |a, (f, g)| a.max((f - g).abs()));
-            if err > opts.ltol && h > opts.dt_min * 1.0001 {
-                h = (0.5 * h).max(opts.dt_min);
-                continue;
-            }
-            t += h;
-            std::mem::swap(&mut x0, &mut x_half);
-            times.push(t);
-            for (lane, lane_tr) in traces.iter_mut().enumerate() {
-                for (n, tr) in lane_tr.iter_mut().enumerate() {
-                    tr.push(x0[n * k + lane]);
-                }
-            }
-            for (lane, lane_br) in branch.iter_mut().enumerate() {
-                for (s, br) in lane_br.iter_mut().enumerate() {
-                    br.push(x0[vb[s] * k + lane]);
-                }
-            }
-            if err < 0.25 * opts.ltol {
-                h = (2.0 * h).min(opts.dt_max);
-            }
-        }
-        self.x.copy_from_slice(&x0);
-        count(Metric::SweepSteps, (times.len() - 1) as u64);
-        Ok(self.collect_results(circuits, times, traces, branch, total_newton))
-    }
-
-    /// One batched backward-Euler step of size `h` from `(t0, x0)` into
-    /// `out`, every lane together.
-    #[allow(clippy::too_many_arguments)] // internal stepper: explicit state beats a bag struct
-    fn be_step_lanes(
-        &mut self,
-        circuits: &[Circuit],
-        x0: &[f64],
-        t0: f64,
-        h: f64,
-        newton: &NewtonOptions,
-        out: &mut [f64],
-        newton_count: &mut usize,
-    ) -> Result<()> {
-        let (k, dim) = (self.k, self.dim);
-        let t1 = t0 + h;
-        self.fill_b_cur(circuits, t1);
-        let alpha = 1.0 / h;
-        self.set_alpha(alpha);
-        {
-            let Self {
-                state,
-                b_cur,
-                rhs,
-                scratch,
-                ..
-            } = self;
-            state_c_mul(state, dim, k, x0, scratch);
-            for i in 0..dim * k {
-                rhs[i] = b_cur[i] + alpha * scratch[i];
-            }
-        }
-        if !self.mna.has_nonlinear() {
-            self.factor_base()?;
-            state_solve(&mut self.state, &self.rhs, out);
-            return Ok(());
-        }
-        // Newton on the x plane, warm-started from x0.
-        self.x.copy_from_slice(x0);
-        *newton_count += self.newton_step_lanes(circuits, newton, "tran-adaptive", t1)?;
-        out.copy_from_slice(&self.x);
-        Ok(())
     }
 
     /// Package per-lane sample storage into [`TranResult`]s.

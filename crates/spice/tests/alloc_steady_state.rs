@@ -2,13 +2,13 @@
 //! allocation-free.
 //!
 //! A counting global allocator wraps the system allocator; each scenario is
-//! run at a short and a 4× longer horizon on a pre-built [`TranWorkspace`].
-//! Every per-step heap allocation would multiply with the step count
-//! (thousands of extra steps), so asserting the two counts differ by at
-//! most a small constant proves the stepping loops only touch workspace
-//! buffers. The constant slack covers once-per-run setup (result-trace
-//! `with_capacity` calls, the DC solve, `HashMap` growth in the adaptive
-//! factor cache) — none of which scale with steps.
+//! run at a short and a 4× longer horizon on a pre-built [`TranWorkspace`]
+//! (serial) or [`BatchedSweep`] (K lanes). Every per-step heap allocation
+//! would multiply with the step count (thousands of extra steps), so
+//! asserting the two counts differ by at most a small constant proves the
+//! stepping loops only touch workspace buffers. The constant slack covers
+//! once-per-run setup (result-trace `with_capacity` calls, the DC solve) —
+//! none of which scale with steps.
 //!
 //! One `#[test]` only: parallel tests in the same binary would share the
 //! counter.
@@ -20,9 +20,7 @@ use sna_spice::devices::{MosPolarity, MosfetModel, SourceWaveform};
 use sna_spice::netlist::Circuit;
 use sna_spice::solver::SolverKind;
 use sna_spice::sweep::BatchedSweep;
-use sna_spice::tran::{
-    transient_adaptive_with, transient_with, AdaptiveOptions, TranParams, TranWorkspace,
-};
+use sna_spice::tran::{transient_with, TranParams, TranWorkspace};
 use sna_spice::units::{NS, PS};
 
 struct CountingAlloc;
@@ -155,22 +153,6 @@ fn assert_fixed_step_alloc_free(ckt: &Circuit, kind: SolverKind, dt: f64, slack:
     );
 }
 
-/// Same bound for the adaptive controller (per-`h` factor cache included).
-fn assert_adaptive_alloc_free(ckt: &Circuit, kind: SolverKind, slack: u64) {
-    let mut ws = TranWorkspace::new(ckt, kind).unwrap();
-    let mut short_opts = AdaptiveOptions::new(0.4 * NS);
-    short_opts.solver = kind;
-    let mut long_opts = AdaptiveOptions::new(1.6 * NS);
-    long_opts.solver = kind;
-    transient_adaptive_with(ckt, &short_opts, &mut ws).unwrap();
-    let (short, _) = allocs(|| transient_adaptive_with(ckt, &short_opts, &mut ws));
-    let (long, _) = allocs(|| transient_adaptive_with(ckt, &long_opts, &mut ws));
-    assert!(
-        long <= short + slack,
-        "{kind:?} adaptive: {long} allocations at 4x horizon vs {short} at 1x"
-    );
-}
-
 /// K-lane variants of a base circuit differing only in the noisy source's
 /// waveform (the only thing [`BatchedSweep`] allows to change per lane).
 fn lanes_of(base: &Circuit, source: &str, waves: &[SourceWaveform]) -> Vec<Circuit> {
@@ -197,15 +179,6 @@ fn assert_batched_alloc_free(lanes: &[Circuit], kind: SolverKind, dt: f64, slack
         long <= short + slack,
         "{kind:?} batched: {long} allocations at 4x horizon vs {short} at 1x"
     );
-    let short_opts = AdaptiveOptions::new(0.4 * NS);
-    let long_opts = AdaptiveOptions::new(1.6 * NS);
-    sweep.transient_adaptive(lanes, &short_opts).unwrap();
-    let (short, _) = allocs(|| sweep.transient_adaptive(lanes, &short_opts));
-    let (long, _) = allocs(|| sweep.transient_adaptive(lanes, &long_opts));
-    assert!(
-        long <= short + slack,
-        "{kind:?} batched adaptive: {long} allocations at 4x horizon vs {short} at 1x"
-    );
 }
 
 #[test]
@@ -226,10 +199,6 @@ fn stepping_loops_do_not_allocate_per_step() {
         // dependent allocations are the pre-sized recording vectors.
         assert_fixed_step_alloc_free(&lin, kind, 2.0 * PS, 32);
         assert_fixed_step_alloc_free(&nl, kind, 1.0 * PS, 32);
-        // Adaptive: allow for a few new per-step-size cache entries, which
-        // are bounded by the h-ladder, not by the step count.
-        assert_adaptive_alloc_free(&lin, kind, 96);
-        assert_adaptive_alloc_free(&nl, kind, 96);
     }
     // Batched K-lane sweeps: same steady-state contract, K=4. The recording
     // vectors are per lane, so the slack is proportionally wider; the

@@ -15,7 +15,7 @@ use sna_spice::devices::{MosPolarity, MosfetModel, SourceWaveform};
 use sna_spice::netlist::{Circuit, NodeId};
 use sna_spice::solver::SolverKind;
 use sna_spice::sweep::BatchedSweep;
-use sna_spice::tran::{transient, transient_adaptive, AdaptiveOptions, Integrator, TranParams};
+use sna_spice::tran::{transient, TranParams};
 use sna_spice::units::{NS, PS};
 
 /// RC ladder with `n_nodes` chain nodes; per-lane `scale` stretches every
@@ -155,11 +155,9 @@ proptest! {
     fn prop_batched_transient_matches_serial(
         n_nodes in 3usize..10,
         scales in proptest::collection::vec(0.5f64..2.0, 3),
-        trap in 0usize..2,
     ) {
         let circuits: Vec<Circuit> = scales.iter().map(|&s| ladder(n_nodes, s, 1.2)).collect();
-        let mut params = TranParams::new(0.3 * NS, 3.0 * PS);
-        params.method = if trap == 1usize { Integrator::Trapezoidal } else { Integrator::BackwardEuler };
+        let params = TranParams::new(0.3 * NS, 3.0 * PS);
         for kind in [SolverKind::Dense, SolverKind::Sparse] {
             let mut sweep = BatchedSweep::new(&circuits, kind).unwrap();
             let results = sweep.transient(&circuits, &params).unwrap();
@@ -176,32 +174,26 @@ proptest! {
 }
 
 /// Non-linear lanes (per-lane glitch height and load) match serial Newton
-/// transients within the Newton tolerance band, for both integrators.
+/// transients within the Newton tolerance band.
 #[test]
 fn nonlinear_inverter_batched_matches_serial() {
     let circuits: Vec<Circuit> = [(0.55, 8e-15), (0.7, 10e-15), (0.85, 14e-15), (1.0, 20e-15)]
         .iter()
         .map(|&(p, c)| inverter(p, c))
         .collect();
-    for method in [Integrator::Trapezoidal, Integrator::BackwardEuler] {
-        let mut params = TranParams::new(0.5 * NS, 2.0 * PS);
-        params.method = method;
-        let mut sweep = BatchedSweep::new(&circuits, SolverKind::Dense).expect("sweep");
-        let results = sweep
-            .transient(&circuits, &params)
-            .expect("batched transient");
-        let serial = serial_transients(&circuits, SolverKind::Dense, &params);
-        for ((ckt, batched), reference) in circuits.iter().zip(&results).zip(&serial) {
-            assert!(batched.newton_iterations > 0, "must exercise Newton");
-            let out = probe(ckt, "out");
-            let diff = reference
-                .node_waveform(out)
-                .max_abs_difference(&batched.node_waveform(out));
-            assert!(
-                diff < 1e-6,
-                "{method:?}: batched deviates from serial by {diff:.3e}"
-            );
-        }
+    let params = TranParams::new(0.5 * NS, 2.0 * PS);
+    let mut sweep = BatchedSweep::new(&circuits, SolverKind::Dense).expect("sweep");
+    let results = sweep
+        .transient(&circuits, &params)
+        .expect("batched transient");
+    let serial = serial_transients(&circuits, SolverKind::Dense, &params);
+    for ((ckt, batched), reference) in circuits.iter().zip(&results).zip(&serial) {
+        assert!(batched.newton_iterations > 0, "must exercise Newton");
+        let out = probe(ckt, "out");
+        let diff = reference
+            .node_waveform(out)
+            .max_abs_difference(&batched.node_waveform(out));
+        assert!(diff < 1e-6, "batched deviates from serial by {diff:.3e}");
     }
 }
 
@@ -221,35 +213,6 @@ fn nonlinear_inverter_dc_matches_serial() {
         let serial = dc_operating_point(ckt, &NewtonOptions::default(), None).expect("serial dc");
         for (a, b) in sol.unknowns().iter().zip(serial.unknowns()) {
             assert!((a - b).abs() < 1e-6, "{a} vs {b}");
-        }
-    }
-}
-
-/// Adaptive lock-step control: with identical lanes the worst-lane error
-/// equals every lane's error, so the batched step-size ladder reproduces
-/// the serial one exactly and the sampled waveforms are comparable 1:1.
-#[test]
-fn adaptive_identical_lanes_match_serial_grid() {
-    for (ckt, name) in [(ladder(8, 1.0, 1.2), "n7"), (inverter(0.8, 10e-15), "out")] {
-        let circuits = vec![ckt.clone(), ckt.clone(), ckt.clone()];
-        let mut opts = AdaptiveOptions::new(0.5 * NS);
-        opts.solver = SolverKind::Dense;
-        let mut sweep = BatchedSweep::new(&circuits, SolverKind::Dense).expect("sweep");
-        let results = sweep
-            .transient_adaptive(&circuits, &opts)
-            .expect("batched adaptive");
-        let reference = transient_adaptive(&ckt, &opts).expect("serial adaptive");
-        assert_eq!(
-            results[0].times().len(),
-            reference.times().len(),
-            "identical lanes must reproduce the serial step ladder"
-        );
-        let node = probe(&ckt, name);
-        for lane in &results {
-            let diff = reference
-                .node_waveform(node)
-                .max_abs_difference(&lane.node_waveform(node));
-            assert!(diff < 1e-6, "adaptive lane deviates by {diff:.3e}");
         }
     }
 }

@@ -115,8 +115,8 @@ fn inverter_glitch_counters_match_hand_check() {
         res.newton_iterations as u64,
         "counter must agree with the returned diagnostic"
     );
-    // Fixed-dt: nothing is ever rejected (or "accepted" — that is the
-    // adaptive controller's vocabulary).
+    // The accepted/rejected counters belong to a step-size controller no
+    // transient runs any more; they stay in the schema and read 0.
     assert_eq!(d.get(Metric::TranAcceptedSteps), 0);
     assert_eq!(d.get(Metric::TranRejectedSteps), 0);
     // One DC operating-point solve for the initial condition, converged

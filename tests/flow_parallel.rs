@@ -3,6 +3,7 @@
 //! and cross-cluster reuse through the shared characterization cache.
 
 use sna::prelude::*;
+use sna_core::library::ALL_ARTIFACT_KINDS;
 
 fn nrc_for(tech: &Technology) -> NoiseRejectionCurve {
     characterize_nrc(
@@ -31,6 +32,12 @@ fn parallel_flow_is_deterministic_across_thread_counts() {
     };
     let one = run(1);
     let four = run(4);
+    // Every artifact is characterized once at any thread count, so the
+    // cache counts are as deterministic as the report.
+    for kind in ALL_ARTIFACT_KINDS {
+        let (a, b) = (one.cache.kind(kind), four.cache.kind(kind));
+        assert_eq!((a.hits, a.misses), (b.hits, b.misses), "{}", kind.name());
+    }
     assert_eq!(one.report.findings.len(), 24);
     assert_eq!(one.report.findings.len(), four.report.findings.len());
     assert_eq!(one.report.skipped, four.report.skipped);

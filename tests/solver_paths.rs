@@ -87,37 +87,10 @@ fn assert_fixed_step_agreement(ckt: &Circuit, probe: NodeId, t_stop: f64, dt: f6
     }
 }
 
-/// Adaptive transients across every backend selection agree to `TOL`
-/// (identical step-size sequences, so the samples are directly comparable).
-fn assert_adaptive_agreement(ckt: &Circuit, probe: NodeId, t_stop: f64) {
-    let reference = {
-        let mut o = AdaptiveOptions::new(t_stop);
-        o.solver = SolverKind::Dense;
-        transient_adaptive(ckt, &o).expect("dense adaptive")
-    };
-    let ref_wave = reference.node_waveform(probe);
-    for kind in [SolverKind::Sparse, SolverKind::Auto] {
-        let mut o = AdaptiveOptions::new(t_stop);
-        o.solver = kind;
-        let res = transient_adaptive(ckt, &o).expect("adaptive transient");
-        let diff = ref_wave.max_abs_difference(&res.node_waveform(probe));
-        assert!(
-            diff < TOL,
-            "adaptive {kind:?} deviates from dense by {diff:.3e}"
-        );
-    }
-}
-
 #[test]
 fn inverter_glitch_waveforms_identical_on_both_paths() {
     let (ckt, out, _) = inverter_glitch_circuit();
     assert_fixed_step_agreement(&ckt, out, 0.8 * NS, 1.0 * PS);
-}
-
-#[test]
-fn inverter_glitch_adaptive_identical_on_both_paths() {
-    let (ckt, out, _) = inverter_glitch_circuit();
-    assert_adaptive_agreement(&ckt, out, 0.8 * NS);
 }
 
 #[test]
@@ -131,12 +104,6 @@ fn coupled_bus_waveforms_identical_on_both_paths() {
         "fixture must be large enough for auto → sparse"
     );
     assert_fixed_step_agreement(&ckt, far, 0.6 * NS, 2.0 * PS);
-}
-
-#[test]
-fn coupled_bus_adaptive_identical_on_both_paths() {
-    let (ckt, far) = coupled_bus_circuit(60);
-    assert_adaptive_agreement(&ckt, far, 0.6 * NS);
 }
 
 #[test]
