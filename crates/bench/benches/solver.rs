@@ -122,7 +122,7 @@ fn run_case(segments: usize, reps: usize, tran_window: Option<f64>) -> CaseResul
         None => (None, None, None, None),
         Some(t_stop) => {
             let mut params = TranParams::new(t_stop, 2.0 * PS);
-            params.solver = SolverKind::Dense;
+            params.newton.solver = SolverKind::Dense;
             let before = local_snapshot();
             let dense_res = transient(&ckt, &params).unwrap();
             let d_dense = local_snapshot().since(&before);
@@ -130,7 +130,7 @@ fn run_case(segments: usize, reps: usize, tran_window: Option<f64>) -> CaseResul
                 * median_secs(reps.min(3), || {
                     std::hint::black_box(transient(&ckt, &params).unwrap());
                 });
-            params.solver = SolverKind::Sparse;
+            params.newton.solver = SolverKind::Sparse;
             let before = local_snapshot();
             let sparse_res = transient(&ckt, &params).unwrap();
             let d_sparse = local_snapshot().since(&before);
@@ -273,7 +273,7 @@ fn bench_solver(c: &mut Criterion) {
         let n = MnaSystem::new(&ckt).unwrap().dim();
         for (label, kind) in [("dense", SolverKind::Dense), ("sparse", SolverKind::Sparse)] {
             let mut params = TranParams::new(0.5 * NS, 2.0 * PS);
-            params.solver = kind;
+            params.newton.solver = kind;
             group.bench_function(BenchmarkId::new(label, n), |b| {
                 b.iter(|| transient(&ckt, &params).unwrap())
             });

@@ -79,9 +79,9 @@ pub fn characterize_load_curve(
         .add_vsource("Vout", fx.out, Circuit::gnd(), SourceWaveform::Dc(0.0));
 
     // One lane per V_out sample: the lanes differ only in the clamp's DC
-    // level (a source waveform), so a whole table row is a single K-lane
-    // batched DC solve sharing one symbolic analysis, warm-started from
-    // the previous row's operating points.
+    // level (a source waveform), so one K-lane sweep serves every row —
+    // each lane keeps its workspace (assembly, solver) across rows and is
+    // warm-started from its previous row's operating point.
     let mut lanes: Vec<Circuit> = vout_axis
         .iter()
         .map(|&vout| {

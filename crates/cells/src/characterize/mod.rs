@@ -27,11 +27,11 @@ pub use thevenin::{
 };
 
 use serde::{Deserialize, Serialize};
-use sna_spice::backend::BackendKind;
 use sna_spice::dc::NewtonOptions;
 use sna_spice::devices::SourceWaveform;
 use sna_spice::error::Result;
 use sna_spice::netlist::{Circuit, Element, NodeId};
+use sna_spice::solver::BackendKind;
 
 use crate::cell::{Cell, DriverMode};
 

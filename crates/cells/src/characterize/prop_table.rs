@@ -125,8 +125,7 @@ pub fn characterize_propagated_noise(
 }
 
 /// [`characterize_propagated_noise`] with explicit solver controls
-/// (`opts.newton.solver` picks the linear solver of the batched height
-/// sweep).
+/// (`opts.newton.solver` picks the linear solver of the height sweep).
 ///
 /// # Errors
 ///
@@ -161,10 +160,10 @@ pub fn characterize_propagated_noise_with(
     let mut area = vec![0.0; n_grid];
     let mut delay = vec![0.0; n_grid];
     // All heights of one width column share the transient window, so they
-    // run as one K-lane batched sweep: MNA assembly, the union pattern, and
-    // the symbolic analysis are paid once for the whole grid, and each
-    // column is a single batched transient over `heights.len()` lanes that
-    // differ only in the glitch source waveform.
+    // run as one K-lane sweep built once for the whole grid: each height's
+    // lane keeps its workspace (MNA assembly, solver) across the columns,
+    // and each column is one transient call over `heights.len()` lanes
+    // that differ only in the glitch source waveform.
     let mut lanes: Vec<Circuit> = heights.iter().map(|_| fx.ckt.clone()).collect();
     let mut sweep = BatchedSweep::new(&lanes, opts.newton.solver)?;
     for (wi, &w) in widths.iter().enumerate() {
@@ -183,7 +182,6 @@ pub fn characterize_propagated_noise_with(
         let dt = (w / 200.0).clamp(0.25e-12, 2e-12);
         let mut params = TranParams::new(horizon, dt);
         params.newton = opts.newton;
-        params.solver = opts.newton.solver;
         let results = sweep.transient(&lanes, &params)?;
         for (hi, res) in results.iter().enumerate() {
             let wave = res.node_waveform(fx.out);

@@ -175,7 +175,6 @@ fn simulate_driver(
     let horizon = t_start + input_slew + 4e-9;
     let mut params = TranParams::new(horizon, 1e-12);
     params.newton = *newton;
-    params.solver = newton.solver;
     let res = transient(&ckt, &params)?;
     Ok(res.node_waveform(out))
 }
@@ -284,7 +283,6 @@ pub fn characterize_thevenin_with(
         let horizon = T_REPLAY_ONSET + t_rise + 12.0 * rth * load.total_cap() + 2e-9;
         let mut params = TranParams::new(horizon, 1e-12);
         params.newton = *newton;
-        params.solver = newton.solver;
         let res = transient(&ckt, &params)?;
         let wfit = res.node_waveform(o);
         let t50_fit = crossing_time(&wfit, half, rising)

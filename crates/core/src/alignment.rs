@@ -11,14 +11,16 @@
 //! Every probe is one [`simulate_macromodel`] run on a
 //! [`ClusterMacromodel::with_timing`] copy, so the reported
 //! [`AlignmentResult::dp_metrics`] is exactly what the engine gives when
-//! re-run at the found timing.
+//! re-run at the found timing. The search ends with an evaluation at that
+//! timing and returns its waveforms ([`AlignmentResult::waveforms`]), so a
+//! caller needs no further engine run.
 
-use sna_spice::backend::BackendKind;
 use sna_spice::error::Result;
+use sna_spice::solver::BackendKind;
 use sna_spice::waveform::GlitchMetrics;
 
 use crate::cluster::ClusterMacromodel;
-use crate::engine::simulate_macromodel;
+use crate::engine::{simulate_macromodel, NoiseWaveforms};
 
 /// Outcome of the worst-case search.
 #[derive(Debug, Clone)]
@@ -31,6 +33,9 @@ pub struct AlignmentResult {
     pub dp_metrics: GlitchMetrics,
     /// Number of engine evaluations spent.
     pub evaluations: usize,
+    /// Engine waveforms at the worst case found: the evaluation that
+    /// produced [`AlignmentResult::dp_metrics`].
+    pub waveforms: NoiseWaveforms,
 }
 
 /// Maximize the victim DP glitch peak over aggressor switch times and the
@@ -53,12 +58,15 @@ pub fn worst_case_alignment(model: &ClusterMacromodel, window: f64) -> Result<Al
         .collect();
     let mut glitch_peak = model.spec.victim.glitch.map(|g| g.t_peak);
     let mut evaluations = 0usize;
-    let eval = |st: &[f64], gp: Option<f64>, evals: &mut usize| -> Result<GlitchMetrics> {
+    let eval = |st: &[f64],
+                gp: Option<f64>,
+                evals: &mut usize|
+     -> Result<(GlitchMetrics, NoiseWaveforms)> {
         *evals += 1;
-        let m = model.with_timing(st, gp);
-        Ok(simulate_macromodel(&m)?.dp_metrics(model.q_out))
+        let waves = simulate_macromodel(&model.with_timing(st, gp))?;
+        Ok((waves.dp_metrics(model.q_out), waves))
     };
-    let mut best = eval(&switch_times, glitch_peak, &mut evaluations)?;
+    let (mut best, mut best_waves) = eval(&switch_times, glitch_peak, &mut evaluations)?;
     // Coordinates: aggressors 0..n_agg, then (optionally) the glitch.
     let n_coords = n_agg + usize::from(glitch_peak.is_some());
     for _sweep in 0..2 {
@@ -77,7 +85,7 @@ pub fn worst_case_alignment(model: &ClusterMacromodel, window: f64) -> Result<Al
                 } else {
                     (switch_times.clone(), Some(t))
                 };
-                Ok(eval(&st, gp, evals)?.peak)
+                Ok(eval(&st, gp, evals)?.0.peak)
             };
             // Coarse grid.
             let grid = 7;
@@ -123,7 +131,7 @@ pub fn worst_case_alignment(model: &ClusterMacromodel, window: f64) -> Result<Al
             } else {
                 glitch_peak = Some(best_t.max(0.0));
             }
-            best = eval(&switch_times, glitch_peak, &mut evaluations)?;
+            (best, best_waves) = eval(&switch_times, glitch_peak, &mut evaluations)?;
         }
     }
     Ok(AlignmentResult {
@@ -131,6 +139,7 @@ pub fn worst_case_alignment(model: &ClusterMacromodel, window: f64) -> Result<Al
         glitch_peak_time: glitch_peak,
         dp_metrics: best,
         evaluations,
+        waveforms: best_waves,
     })
 }
 
@@ -155,6 +164,7 @@ mod tests {
     use crate::cluster::ClusterMacromodel;
     use crate::scenarios::table1_spec;
     use sna_spice::units::{NS, PS};
+    use sna_spice::waveform::Waveform;
 
     #[test]
     fn alignment_improves_a_misaligned_cluster() {
@@ -189,8 +199,9 @@ mod tests {
 
     #[test]
     fn found_worst_case_re_simulates_bitwise() {
-        // The reported DP metrics are the engine's own at the found
-        // timing: re-running it there reproduces every bit.
+        // The reported DP metrics and the returned waveforms are the
+        // engine's own at the found timing: re-running it there reproduces
+        // every bit.
         let mut spec = table1_spec();
         if let Some(g) = &mut spec.victim.glitch {
             g.t_peak = 1.3 * NS;
@@ -199,12 +210,19 @@ mod tests {
         let res = worst_case_alignment(&model, 700.0 * PS).unwrap();
         let again =
             simulate_macromodel(&model.with_timing(&res.switch_times, res.glitch_peak_time))
-                .unwrap()
-                .dp_metrics(model.q_out);
+                .unwrap();
         let bits = |g: &GlitchMetrics| {
             [g.peak, g.polarity, g.peak_time, g.width, g.area].map(f64::to_bits)
         };
-        assert_eq!(bits(&res.dp_metrics), bits(&again));
+        assert_eq!(bits(&res.dp_metrics), bits(&again.dp_metrics(model.q_out)));
+        let samples = |w: &Waveform| -> Vec<u64> {
+            w.times()
+                .iter()
+                .chain(w.values())
+                .map(|v| v.to_bits())
+                .collect()
+        };
+        assert_eq!(samples(&res.waveforms.receiver), samples(&again.receiver));
     }
 
     #[test]

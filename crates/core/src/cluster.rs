@@ -29,11 +29,10 @@ use crate::library::NoiseModelLibrary;
 use sna_mor::{
     port_admittance_moments, prima_reduce_with, PiModel, ReducedSystem, DEFAULT_Q, DEFAULT_S0,
 };
-use sna_spice::backend::BackendKind;
 use sna_spice::devices::SourceWaveform;
 use sna_spice::error::{Error, Result};
 use sna_spice::netlist::Circuit;
-use sna_spice::solver::SolverKind;
+use sna_spice::solver::{BackendKind, SolverKind};
 use sna_spice::units::PS;
 
 /// A triangular noise glitch arriving at the victim driver's input

@@ -23,10 +23,9 @@
 //! [`ClusterMacromodel::with_timing`] copy, so a reported worst case
 //! re-simulates bit for bit.
 
-use sna_spice::backend::BatchedDenseLu;
 use sna_spice::dc::NewtonOptions;
 use sna_spice::error::{Error, Result};
-use sna_spice::linalg::DenseMatrix;
+use sna_spice::linalg::{DenseMatrix, LuFactors};
 use sna_spice::waveform::Waveform;
 
 use crate::cluster::ClusterMacromodel;
@@ -57,10 +56,9 @@ impl NoiseWaveforms {
 /// Each trapezoidal step solves `A·x + b_vic·I_dc(V_in, y) = rhs` by
 /// Newton. The residual is `(A·x + b_vic·z) − rhs`, the step right-hand
 /// side `(M·x + B·(u + u_prev)) − b_vic·f_prev`, and the Jacobian is
-/// factored by a one-lane [`BatchedDenseLu`], whose elimination has no
-/// zero-multiplier skip. These operation orders fix the last bits of
-/// every result; changing them moves alignment and FRAME outcomes by
-/// rounding.
+/// factored by the serial dense [`LuFactors`]. These operation orders fix
+/// the last bits of every result; changing them moves alignment and FRAME
+/// outcomes by rounding.
 ///
 /// # Errors
 ///
@@ -120,7 +118,11 @@ pub fn simulate_macromodel(model: &ClusterMacromodel) -> Result<NoiseWaveforms> 
     };
 
     // Newton solve of: A x + b_vic I_dc(vin, y) = rhs, updating x in place.
-    let mut jac = BatchedDenseLu::new(m, 1);
+    let mut jac = DenseMatrix::zeros(m, m);
+    // Factor buffers: `refactor` redoes the full pivot search in place.
+    let mut lu: LuFactors = DenseMatrix::identity(m)
+        .lu()
+        .expect("the identity is non-singular");
     let mut ax = vec![0.0; m];
     let mut neg = vec![0.0; m];
     let mut dx = vec![0.0; m];
@@ -130,7 +132,6 @@ pub fn simulate_macromodel(model: &ClusterMacromodel) -> Result<NoiseWaveforms> 
                 *iters += 1;
                 let eval = model.load_curve.table.eval(vin, y_vic(x));
                 a.mul_vec_into(x, &mut ax);
-                let data = jac.data_mut();
                 for i in 0..m {
                     let bi = red.b[(i, vic)];
                     neg[i] = -((ax[i] + bi * eval.z) - rhs[i]);
@@ -139,15 +140,15 @@ pub fn simulate_macromodel(model: &ClusterMacromodel) -> Result<NoiseWaveforms> 
                         if bi != 0.0 {
                             v += bi * eval.dz_dy * red.b[(j, vic)];
                         }
-                        data[i * m + j] = v;
+                        jac[(i, j)] = v;
                     }
                 }
-                if jac.factor().is_err() {
+                if lu.refactor(&jac).is_err() {
                     return Err(Error::InvalidAnalysis(
                         "noise-engine: singular Newton Jacobian".into(),
                     ));
                 }
-                jac.solve(&neg, &mut dx);
+                lu.solve_into(&neg, &mut dx);
                 let max_dx = dx.iter().fold(0.0_f64, |acc, &v| acc.max(v.abs()));
                 let scale = if max_dx > newton.max_step {
                     newton.max_step / max_dx

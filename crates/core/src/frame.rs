@@ -30,8 +30,8 @@
 //! exhaustive one over the same space (a proptest pins this).
 
 use sna_obs::{count, Metric};
-use sna_spice::backend::BackendKind;
 use sna_spice::error::{Error, Result};
+use sna_spice::solver::BackendKind;
 use sna_spice::waveform::GlitchMetrics;
 
 use crate::cluster::ClusterMacromodel;

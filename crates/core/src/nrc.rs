@@ -144,7 +144,6 @@ pub fn characterize_nrc_with(
             let horizon = t_start + 2.5 * w + 1.0e-9;
             let dt = (w / 150.0).clamp(0.5e-12, 2e-12);
             let mut params = TranParams::new(horizon, dt);
-            params.solver = solver;
             params.newton.solver = solver;
             let res = transient_with(&fx.ckt, &params, ws)?;
             let out = res.node_waveform(fx.out);

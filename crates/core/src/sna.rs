@@ -255,9 +255,7 @@ pub fn analyze_cluster(
 ) -> Result<ClusterFinding> {
     let model = ClusterMacromodel::build_with_library(&cluster.spec, mm_opts, library)?;
     let waves = if opts.align_worst_case {
-        let res = worst_case_alignment(&model, opts.align_window)?;
-        let timed = model.with_timing(&res.switch_times, res.glitch_peak_time);
-        simulate_macromodel(&timed)?
+        worst_case_alignment(&model, opts.align_window)?.waveforms
     } else {
         simulate_macromodel(&model)?
     };

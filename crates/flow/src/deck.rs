@@ -11,9 +11,9 @@
 //! victim-node difference between the lanes is the injected noise waveform;
 //! [`GlitchMetrics`] of that difference against a zero baseline give
 //! peak/width/area, and `margin = threshold − peak` drives the verdict.
-//! Both lanes share one factorization and one value plane, and the per-case
-//! work is embarrassingly parallel — reports are byte-identical across
-//! thread counts.
+//! Each lane runs the serial transient on its own workspace, and the
+//! per-case work is embarrassingly parallel — reports are byte-identical
+//! across thread counts.
 
 use std::path::Path;
 

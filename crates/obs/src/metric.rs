@@ -47,16 +47,22 @@ pub enum Metric {
     /// Always 0: kept only so the `sna-metrics-v1` document keeps its
     /// `rejected_steps` key until the next schema version drops it.
     TranRejectedSteps,
-    /// Batched K-lane sweep analyses run (DC or transient).
+    /// K-lane sweep analyses run (DC or transient). Each lane's own work
+    /// counts in the solver, DC and transient counters.
     SweepCalls,
     /// Total lanes carried by those sweeps (sum of K).
     SweepLanes,
-    /// Per-lane Newton iterations inside masked batched Newton loops.
+    /// Always 0: kept only so the `sna-metrics-v1` document keeps its
+    /// `lane_newton_iterations` key until the next schema version drops it
+    /// (a lane's Newton iterations count in the DC and transient counters).
     SweepLaneNewtonIterations,
-    /// Lanes the batched Newton abandoned to the deterministic serial
-    /// ladder (the correctness backstop for resistant corners).
+    /// Always 0: kept only so the `sna-metrics-v1` document keeps its
+    /// `serial_fallbacks` key until the next schema version drops it (a
+    /// lane's DC runs the continuation ladder itself).
     SweepSerialFallbacks,
-    /// Lock-step transient steps taken by batched sweeps.
+    /// Always 0: kept only so the `sna-metrics-v1` document keeps its
+    /// `steps` key in the sweep section until the next schema version drops
+    /// it (a lane's steps count in the transient counters).
     SweepSteps,
     /// Queries handled by an `sna serve` session (any command).
     ServeQueries,

@@ -49,7 +49,8 @@ pub enum Phase {
     Dc,
     /// Fixed-step transient analysis.
     Tran,
-    /// Batched K-lane sweep analysis.
+    /// K-lane sweep analysis; its lanes' DC and transient phases nest
+    /// under it.
     Sweep,
     /// Cold matrix factorization (dense or sparse).
     Factor,

@@ -60,21 +60,6 @@ pub struct DcSolution {
 }
 
 impl DcSolution {
-    /// Assemble a solution from raw parts (batched-sweep internal).
-    pub(crate) fn from_parts(
-        x: Vec<f64>,
-        vsource_branch: Vec<usize>,
-        vsource_names: Vec<String>,
-        iterations: usize,
-    ) -> Self {
-        Self {
-            x,
-            vsource_branch,
-            vsource_names,
-            iterations,
-        }
-    }
-
     /// Voltage of `node` (0 for ground).
     pub fn voltage(&self, node: NodeId) -> f64 {
         if node.is_ground() {
@@ -185,7 +170,7 @@ fn newton_solve(
     })
 }
 
-pub(crate) fn vsource_names(circuit: &Circuit, mna: &MnaSystem) -> Vec<String> {
+fn vsource_names(circuit: &Circuit, mna: &MnaSystem) -> Vec<String> {
     mna.vsources()
         .iter()
         .map(|id| circuit.element(*id).name().to_string())

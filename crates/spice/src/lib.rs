@@ -25,12 +25,10 @@
 //!   symbolic/numeric LU split (cold factor once, refactor per iteration).
 //! * [`solver`] — dense/sparse backend selection ([`solver::SolverKind`])
 //!   shared by every repeated solve in the workspace.
-//! * [`backend`] — [`backend::BatchedDenseLu`], the K-lane dense LU of the
-//!   batched kernels.
-//! * [`sweep`] — [`sweep::BatchedSweep`], the K-lane batched value plane
-//!   over [`solver::SystemSolver`]: one symbolic analysis and one pattern,
-//!   `K` struct-of-arrays value vectors through DC Newton and the
-//!   transient stepper (corner sweeps, characterization grids).
+//! * [`sweep`] — [`sweep::BatchedSweep`], `K` circuits of one topology,
+//!   each lane a [`tran::TranWorkspace`] built once per sweep and run
+//!   through the serial DC and transient analyses (corner sweeps,
+//!   characterization grids).
 //!
 //! ## Quickstart
 //!
@@ -56,7 +54,6 @@
 
 #![warn(missing_docs)]
 
-pub mod backend;
 pub mod dc;
 pub mod devices;
 pub mod error;
@@ -76,7 +73,6 @@ pub use error::{Error, Result};
 
 /// Convenient glob-import surface for downstream crates.
 pub mod prelude {
-    pub use crate::backend::BatchedDenseLu;
     pub use crate::dc::{
         dc_input_conductance, dc_operating_point, dc_operating_point_with, dc_sweep, DcSolution,
         NewtonOptions,
@@ -91,7 +87,7 @@ pub mod prelude {
         dump_parsed, parse_deck, parse_deck_file, write_deck, ParsedDeck, SnaCard,
     };
     pub use crate::solver::{SolverKind, SystemSolver, SPARSE_AUTO_THRESHOLD};
-    pub use crate::sparse::{BatchedSparseLu, SparseLu, SparseMatrix, Symbolic};
+    pub use crate::sparse::{SparseLu, SparseMatrix, Symbolic};
     pub use crate::sweep::BatchedSweep;
     pub use crate::tran::{transient, transient_with, TranParams, TranResult, TranWorkspace};
     pub use crate::units::*;

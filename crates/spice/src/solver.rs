@@ -2,7 +2,8 @@
 //! and the sparse symbolic/numeric LU of [`crate::sparse`].
 //!
 //! Every repeated solve in the workspace — Newton iterations in DC, the
-//! per-step trapezoidal systems in transient, PRIMA's shifted solves — goes
+//! per-step trapezoidal systems in transient (every lane of a
+//! [`crate::sweep::BatchedSweep`] included), PRIMA's shifted solves — goes
 //! through [`SystemSolver`], which owns the assembled linear part (`G`, `C`,
 //! their combination `G + α·C`), the Jacobian being stamped, and the
 //! factors. The backend is chosen once per system by [`SolverKind`]: `Auto`
@@ -48,6 +49,18 @@ impl SolverKind {
             SolverKind::Sparse => true,
         }
     }
+}
+
+/// A compute-backend selector with a single value, read by nothing in the
+/// workspace. It stays only because `perfbench/` still sets the
+/// `backend` fields of `CharacterizeOptions` and `MacromodelOptions` and
+/// passes a value to the alignment search's old-name forwarder and to
+/// `constrained_worst_case`; it goes when that benchmark stops doing so.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum BackendKind {
+    /// The serial solver kernels, the only implementation.
+    #[default]
+    Scalar,
 }
 
 // One Backend lives per analysis (never in arrays), so the variant size

@@ -202,41 +202,6 @@ impl SparseMatrix {
         }
     }
 
-    /// Slot index of entry `(i, j)` in the value array, if the position is
-    /// inside the pattern — used by the batched sweep to address
-    /// struct-of-arrays value planes that share this pattern.
-    pub(crate) fn value_slot(&self, i: usize, j: usize) -> Option<usize> {
-        self.slot(i, j)
-    }
-
-    /// K-lane batched matvec: for every `lane`, `y(lane) = A(lane)·x(lane)`
-    /// where `A(lane)` shares this pattern and reads its values from the
-    /// struct-of-arrays plane `vals` (`vals[slot * k + lane]`). `x` and `y`
-    /// are SoA planes of shape `n × k` (`x[row * k + lane]`).
-    ///
-    /// Unlike [`SparseMatrix::mul_vals_into`] there is no `x == 0` column
-    /// skip: every lane performs the identical operation sequence, so a
-    /// lane's result does not depend on the other lanes' values.
-    ///
-    /// # Panics
-    ///
-    /// Panics on plane-dimension mismatch.
-    pub fn mul_planes_into(&self, vals: &[f64], k: usize, x: &[f64], y: &mut [f64]) {
-        assert_eq!(vals.len(), self.row_idx.len() * k);
-        assert_eq!(x.len(), self.n * k);
-        assert_eq!(y.len(), self.n * k);
-        y.fill(0.0);
-        for j in 0..self.n {
-            for p in self.col_ptr[j]..self.col_ptr[j + 1] {
-                let r = self.row_idx[p] * k;
-                let xj = j * k;
-                for lane in 0..k {
-                    y[r + lane] += vals[p * k + lane] * x[xj + lane];
-                }
-            }
-        }
-    }
-
     /// Materialize as a dense matrix (tests/diagnostics).
     pub fn to_dense(&self) -> DenseMatrix {
         let mut d = DenseMatrix::zeros(self.n, self.n);
@@ -666,154 +631,6 @@ impl SparseLu {
     }
 }
 
-/// K-lane batched numeric refactor/solve over one stored [`SparseLu`]
-/// pattern and pivot sequence, with every value plane in struct-of-arrays
-/// layout (`plane[slot * k + lane]`).
-///
-/// The symbolic analysis, fill pattern, and pivot order come from a
-/// prototype cold factorization of a single lane; every lane then replays
-/// the identical elimination sequence on its own values. Per lane the
-/// arithmetic mirrors [`SparseLu::refactor`]/[`SparseLu::solve_into`]
-/// exactly, except the exact-zero skip guards are dropped: a skipped
-/// update only ever subtracts `x * 0.0`, so dropping the guard is
-/// value-preserving and keeps every lane on the same operation sequence.
-/// The loops run lane-outermost, one full lane at a time.
-#[derive(Debug, Clone)]
-pub struct BatchedSparseLu {
-    proto: SparseLu,
-    k: usize,
-    l_vals: Vec<f64>,
-    u_vals: Vec<f64>,
-    u_diag: Vec<f64>,
-    work: Vec<f64>,
-}
-
-impl BatchedSparseLu {
-    /// Wrap a prototype factorization, allocating `k` value lanes for its
-    /// pattern. The prototype's own values become stale (lanes are filled
-    /// by the next refactor); only its pattern and pivot sequence are used.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0`.
-    pub fn from_proto(proto: SparseLu, k: usize) -> Self {
-        assert!(k > 0, "batched factorization needs at least one lane");
-        let nl = proto.l_vals.len();
-        let nu = proto.u_vals.len();
-        let n = proto.n;
-        Self {
-            k,
-            l_vals: vec![0.0; nl * k],
-            u_vals: vec![0.0; nu * k],
-            u_diag: vec![0.0; n * k],
-            work: vec![0.0; n * k],
-            proto,
-        }
-    }
-
-    fn check_refactor_dims(&self, a: &SparseMatrix, vals: &[f64]) {
-        assert_eq!(a.n, self.proto.n, "batched refactor dimension mismatch");
-        assert_eq!(
-            vals.len(),
-            a.row_idx.len() * self.k,
-            "value plane shape mismatch"
-        );
-    }
-
-    /// Batched refactor: replay the stored pivot sequence on `vals` (SoA
-    /// plane sharing `a`'s pattern), one full lane at a time.
-    ///
-    /// All lanes are processed even when one hits a collapsed pivot — the
-    /// failing lane's factors go non-finite but stay contained to that
-    /// lane — and the *smallest* failing lane index is reported, so the
-    /// caller's cold-refactor fallback is deterministic.
-    ///
-    /// # Errors
-    ///
-    /// `Err(lane)` with the smallest lane whose stored pivot position
-    /// became numerically zero; the caller should cold-factor that lane for
-    /// a fresh pivot sequence.
-    pub fn refactor(&mut self, a: &SparseMatrix, vals: &[f64]) -> std::result::Result<(), usize> {
-        self.check_refactor_dims(a, vals);
-        let k = self.k;
-        let n = self.proto.n;
-        let mut fail = usize::MAX;
-        for lane in 0..k {
-            for kk in 0..n {
-                let col = self.proto.q[kk];
-                for up in self.proto.u_colptr[kk]..self.proto.u_colptr[kk + 1] {
-                    self.work[self.proto.u_rows[up] * k + lane] = 0.0;
-                }
-                self.work[kk * k + lane] = 0.0;
-                for lp in self.proto.l_colptr[kk]..self.proto.l_colptr[kk + 1] {
-                    self.work[self.proto.l_rows[lp] * k + lane] = 0.0;
-                }
-                for ap in a.col_ptr[col]..a.col_ptr[col + 1] {
-                    self.work[self.proto.pinv[a.row_idx[ap]] * k + lane] = vals[ap * k + lane];
-                }
-                for up in self.proto.u_colptr[kk]..self.proto.u_colptr[kk + 1] {
-                    let r = self.proto.u_rows[up];
-                    let ur = self.work[r * k + lane];
-                    self.u_vals[up * k + lane] = ur;
-                    for lp in self.proto.l_colptr[r]..self.proto.l_colptr[r + 1] {
-                        self.work[self.proto.l_rows[lp] * k + lane] -=
-                            self.l_vals[lp * k + lane] * ur;
-                    }
-                }
-                let pivot = self.work[kk * k + lane];
-                if pivot.abs() < PIVOT_MIN && lane < fail {
-                    fail = lane;
-                }
-                self.u_diag[kk * k + lane] = pivot;
-                for lp in self.proto.l_colptr[kk]..self.proto.l_colptr[kk + 1] {
-                    self.l_vals[lp * k + lane] =
-                        self.work[self.proto.l_rows[lp] * k + lane] / pivot;
-                }
-            }
-        }
-        if fail == usize::MAX {
-            Ok(())
-        } else {
-            Err(fail)
-        }
-    }
-
-    /// Batched solve: for every lane, solve `A(lane)·x = b` with
-    /// that lane's stored factors. `b` and `x` are SoA planes of shape
-    /// `n × k` indexed by *original* row (`b[row * k + lane]`).
-    ///
-    /// # Panics
-    ///
-    /// Panics on plane-dimension mismatch.
-    pub fn solve(&mut self, b: &[f64], x: &mut [f64]) {
-        let k = self.k;
-        let n = self.proto.n;
-        assert_eq!(b.len(), n * k);
-        assert_eq!(x.len(), n * k);
-        for lane in 0..k {
-            for kk in 0..n {
-                self.work[kk * k + lane] = b[self.proto.p[kk] * k + lane];
-            }
-            for kk in 0..n {
-                let wk = self.work[kk * k + lane];
-                for lp in self.proto.l_colptr[kk]..self.proto.l_colptr[kk + 1] {
-                    self.work[self.proto.l_rows[lp] * k + lane] -= self.l_vals[lp * k + lane] * wk;
-                }
-            }
-            for kk in (0..n).rev() {
-                let wk = self.work[kk * k + lane] / self.u_diag[kk * k + lane];
-                self.work[kk * k + lane] = wk;
-                for up in self.proto.u_colptr[kk]..self.proto.u_colptr[kk + 1] {
-                    self.work[self.proto.u_rows[up] * k + lane] -= self.u_vals[up * k + lane] * wk;
-                }
-            }
-            for kk in 0..n {
-                x[self.proto.q[kk] * k + lane] = self.work[kk * k + lane];
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -953,97 +770,6 @@ mod tests {
         let mut back = vec![0.0; 4];
         a.mul_vec_into(&x, &mut back);
         assert!((back[0] - 1.0).abs() < 1e-12);
-    }
-
-    /// SoA plane with `lane`-scaled copies of `a`'s values.
-    fn scaled_plane(a: &SparseMatrix, k: usize) -> Vec<f64> {
-        let mut plane = vec![0.0; a.nnz() * k];
-        for (s, &v) in a.values().iter().enumerate() {
-            for lane in 0..k {
-                plane[s * k + lane] = v * (1.0 + 0.07 * lane as f64);
-            }
-        }
-        plane
-    }
-
-    #[test]
-    fn batched_refactor_matches_serial_per_lane() {
-        let k = 4;
-        let a = tridiag(20, 5.0, -1.0);
-        let sym = Symbolic::analyze(&a);
-        let proto = SparseLu::factor(&a, &sym).unwrap();
-        let plane = scaled_plane(&a, k);
-        let b_lane: Vec<f64> = (0..20).map(|i| (i as f64) - 7.5).collect();
-        let mut b_plane = vec![0.0; 20 * k];
-        for i in 0..20 {
-            for lane in 0..k {
-                b_plane[i * k + lane] = b_lane[i];
-            }
-        }
-        let mut batched = BatchedSparseLu::from_proto(proto, k);
-        batched.refactor(&a, &plane).unwrap();
-        let mut x = vec![0.0; 20 * k];
-        batched.solve(&b_plane, &mut x);
-        // Each lane matches a serial refactor of its own values.
-        for lane in 0..k {
-            let mut al = a.clone();
-            for (s, v) in al.values_mut().iter_mut().enumerate() {
-                *v = plane[s * k + lane];
-            }
-            let mut serial = SparseLu::factor(&a, &Symbolic::analyze(&a)).unwrap();
-            serial.refactor(&al).unwrap();
-            let xs = serial.solve(&b_lane);
-            for (i, want) in xs.iter().enumerate() {
-                let got = x[i * k + lane];
-                assert!(
-                    (got - want).abs() < 1e-12,
-                    "lane {lane} row {i}: {got} vs {want}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn batched_refactor_reports_min_failing_lane() {
-        let k = 3;
-        let a = tridiag(6, 4.0, -1.0);
-        let sym = Symbolic::analyze(&a);
-        let proto = SparseLu::factor(&a, &sym).unwrap();
-        // Lanes 1 and 2 zeroed (singular); lane 0 healthy.
-        let mut plane = scaled_plane(&a, k);
-        for s in 0..a.nnz() {
-            plane[s * k + 1] = 0.0;
-            plane[s * k + 2] = 0.0;
-        }
-        let mut batched = BatchedSparseLu::from_proto(proto, k);
-        assert_eq!(batched.refactor(&a, &plane), Err(1));
-    }
-
-    #[test]
-    fn plane_matvec_matches_serial() {
-        let k = 3;
-        let a = tridiag(9, 3.0, -0.5);
-        let plane = scaled_plane(&a, k);
-        let mut x_plane = vec![0.0; 9 * k];
-        for i in 0..9 {
-            for lane in 0..k {
-                x_plane[i * k + lane] = (i as f64 * 0.3 - 1.0) * (lane as f64 + 1.0);
-            }
-        }
-        let mut y_plane = vec![0.0; 9 * k];
-        a.mul_planes_into(&plane, k, &x_plane, &mut y_plane);
-        for lane in 0..k {
-            let mut al = a.clone();
-            for (s, v) in al.values_mut().iter_mut().enumerate() {
-                *v = plane[s * k + lane];
-            }
-            let x_lane: Vec<f64> = (0..9).map(|i| x_plane[i * k + lane]).collect();
-            let mut y_lane = vec![0.0; 9];
-            al.mul_vec_into(&x_lane, &mut y_lane);
-            for i in 0..9 {
-                assert!((y_plane[i * k + lane] - y_lane[i]).abs() < 1e-15);
-            }
-        }
     }
 
     #[test]

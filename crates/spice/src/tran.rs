@@ -6,11 +6,15 @@
 //! superposition baseline) are factored exactly once and back-substituted
 //! per step — this asymmetry is part of why macromodel-based noise analysis
 //! is fast.
+//!
+//! This is the only stepping loop in the crate: every lane of a
+//! [`crate::sweep::BatchedSweep`] runs it on its own [`TranWorkspace`],
+//! with deck mode's `.IC` overrides as a crate-private argument.
 
 use serde::{Deserialize, Serialize};
 use sna_obs::{count, phase_span, Metric, Phase};
 
-use crate::dc::{dc_operating_point_with, NewtonOptions};
+use crate::dc::{dc_operating_point_with, DcSolution, NewtonOptions};
 use crate::error::{Error, Result};
 use crate::fnv::Fnv;
 use crate::mna::MnaSystem;
@@ -30,21 +34,18 @@ pub struct TranParams {
     /// Use the DC operating point as the initial condition (default);
     /// when `false`, start from all-zeros (uic).
     pub dc_init: bool,
-    /// Linear-solver backend for the step systems (the escape hatch over
-    /// the dimension-based auto selection).
-    pub solver: SolverKind,
 }
 
 impl TranParams {
     /// Conventional setup: the given horizon and step, DC initial
-    /// condition, auto solver selection.
+    /// condition, auto solver selection (`newton.solver` picks the linear
+    /// solver of the DC and step systems alike).
     pub fn new(t_stop: f64, dt: f64) -> Self {
         Self {
             t_stop,
             dt,
             newton: NewtonOptions::default(),
             dc_init: true,
-            solver: SolverKind::Auto,
         }
     }
 }
@@ -347,27 +348,6 @@ pub(crate) fn circuit_topology_hash(circuit: &Circuit) -> u64 {
     h.finish()
 }
 
-impl TranResult {
-    /// Assemble a result from raw parts (batched-sweep internal).
-    pub(crate) fn from_parts(
-        times: Vec<f64>,
-        traces: Vec<Vec<f64>>,
-        branch_currents: Vec<Vec<f64>>,
-        node_names: Vec<String>,
-        vsource_names: Vec<String>,
-        newton_iterations: usize,
-    ) -> Self {
-        Self {
-            times,
-            traces,
-            branch_currents,
-            node_names,
-            vsource_names,
-            newton_iterations,
-        }
-    }
-}
-
 impl TranWorkspace {
     /// Assemble the workspace for `circuit` with the given solver
     /// selection.
@@ -412,8 +392,9 @@ impl TranWorkspace {
     /// may change between runs. Topology edits *and* element-value edits
     /// are rejected — the workspace's matrices were assembled from the
     /// construction-time values, so a changed value would silently simulate
-    /// the old circuit.
-    fn check(&self, circuit: &Circuit, kind: SolverKind) -> Result<()> {
+    /// the old circuit — and so is a solver selection other than the one
+    /// the workspace was built with.
+    pub(crate) fn check(&self, circuit: &Circuit, kind: SolverKind) -> Result<()> {
         if circuit.node_count() != self.node_count || circuit.elements().len() != self.element_count
         {
             return Err(Error::InvalidAnalysis(
@@ -434,6 +415,18 @@ impl TranWorkspace {
         }
         Ok(())
     }
+
+    /// DC operating point of `circuit` on this workspace's MNA system and
+    /// solver: assembly and the sparse symbolic analysis are not repeated
+    /// per call. The caller has run [`TranWorkspace::check`].
+    pub(crate) fn dc(
+        &mut self,
+        circuit: &Circuit,
+        opts: &NewtonOptions,
+        warm_start: Option<&[f64]>,
+    ) -> Result<DcSolution> {
+        dc_operating_point_with(circuit, opts, warm_start, &self.mna, &mut self.solver)
+    }
 }
 
 /// Run a transient analysis.
@@ -443,7 +436,7 @@ impl TranWorkspace {
 /// Fails on invalid parameters, DC initialization failure, Newton
 /// non-convergence at some time step, or a singular system matrix.
 pub fn transient(circuit: &Circuit, params: &TranParams) -> Result<TranResult> {
-    let mut ws = TranWorkspace::new(circuit, params.solver)?;
+    let mut ws = TranWorkspace::new(circuit, params.newton.solver)?;
     transient_with(circuit, params, &mut ws)
 }
 
@@ -452,12 +445,20 @@ pub fn transient(circuit: &Circuit, params: &TranParams) -> Result<TranResult> {
 ///
 /// # Errors
 ///
-/// As [`transient`], plus a workspace/topology mismatch.
+/// As [`transient`], plus a workspace/topology mismatch or a
+/// `params.newton.solver` other than the workspace's.
 pub fn transient_with(
     circuit: &Circuit,
     params: &TranParams,
     ws: &mut TranWorkspace,
 ) -> Result<TranResult> {
+    check_window(params)?;
+    ws.check(circuit, params.newton.solver)?;
+    run_transient(circuit, params, ws, &[])
+}
+
+/// Reject a non-positive, NaN, or inverted transient window.
+pub(crate) fn check_window(params: &TranParams) -> Result<()> {
     // `is_nan()` checks keep the rejection of NaN parameters explicit.
     if params.dt.is_nan()
         || params.dt <= 0.0
@@ -470,7 +471,23 @@ pub fn transient_with(
             params.t_stop, params.dt
         )));
     }
-    ws.check(circuit, params.solver)?;
+    Ok(())
+}
+
+/// The trapezoidal stepping loop behind [`transient_with`]. `ics` are `.IC`
+/// overrides: after the DC solve (or the all-zeros `UIC` start when
+/// `dc_init` is false) each listed node's starting voltage is forced to the
+/// given value. This is the SPICE `.IC` approximation — the override biases
+/// the initial state rather than adding a constraint row, so the first
+/// steps relax any resulting KCL imbalance. Ground and unknown nodes are
+/// ignored. The caller has run [`check_window`] and
+/// [`TranWorkspace::check`].
+pub(crate) fn run_transient(
+    circuit: &Circuit,
+    params: &TranParams,
+    ws: &mut TranWorkspace,
+    ics: &[(NodeId, f64)],
+) -> Result<TranResult> {
     let _t = phase_span(Phase::Tran);
     ws.stats = TranStats::default();
     let dim = ws.mna.dim();
@@ -479,16 +496,15 @@ pub fn transient_with(
 
     // Initial condition. The DC solve follows the same solver selection.
     let mut x: Vec<f64> = if params.dc_init {
-        let mut newton = params.newton;
-        newton.solver = params.solver;
-        // Reuse the workspace's MNA system and solver: assembly and the
-        // sparse symbolic analysis are not repeated per call.
-        dc_operating_point_with(circuit, &newton, None, &ws.mna, &mut ws.solver)?
-            .unknowns()
-            .to_vec()
+        ws.dc(circuit, &params.newton, None)?.unknowns().to_vec()
     } else {
         vec![0.0; dim]
     };
+    for &(node, v) in ics {
+        if let Some(row) = ws.mna.node_unknown(node) {
+            x[row] = v;
+        }
+    }
     let mut x_next = vec![0.0; dim];
 
     let alpha = 2.0 / params.dt;

@@ -1,13 +1,12 @@
-//! K-lane batched sweeps must be a pure performance change.
+//! A K-lane sweep must give each lane the serial analysis of its circuit.
 //!
-//! Two layers of guarantees, in decreasing strictness:
-//!
-//! 1. **Linear lanes ≤ 1e-9 vs serial** — a linear lane's batched solve
-//!    shares the serial path's pattern and elimination order, so batched
-//!    results track K independent serial solves far below the paper's
-//!    noise-metric resolution (property-tested over random ladders).
-//! 2. **Non-linear lanes ≤ 1e-6 vs serial** — Newton stops inside the
-//!    same tolerance band (`vntol` = 1e-6) on both paths.
+//! Each lane runs the serial DC and transient code on its own workspace,
+//! so a lane's result equals the serial one bit for bit, on the dense and
+//! the sparse solver, and does not depend on the other lanes
+//! (`sweep_lane_is_the_serial_analysis_bit_for_bit`). The tolerance tests
+//! below state the weaker contract callers rely on: linear lanes within
+//! 1e-9 of serial solves (property-tested over random ladders) and
+//! non-linear lanes within the Newton tolerance band (`vntol` = 1e-6).
 
 use proptest::prelude::*;
 use sna_spice::dc::{dc_operating_point, NewtonOptions};
@@ -113,7 +112,7 @@ fn serial_transients(
         .iter()
         .map(|c| {
             let mut p = *params;
-            p.solver = kind;
+            p.newton.solver = kind;
             transient(c, &p).expect("serial transient")
         })
         .collect()
@@ -132,15 +131,13 @@ proptest! {
     ) {
         let circuits: Vec<Circuit> = scales.iter().map(|&s| ladder(n_nodes, s, v1)).collect();
         for kind in [SolverKind::Dense, SolverKind::Sparse] {
+            let opts = NewtonOptions {
+                solver: kind,
+                ..Default::default()
+            };
             let mut sweep = BatchedSweep::new(&circuits, kind).unwrap();
-            let sols = sweep
-                .dc_operating_points(&circuits, &NewtonOptions::default(), None)
-                .unwrap();
+            let sols = sweep.dc_operating_points(&circuits, &opts, None).unwrap();
             for (ckt, sol) in circuits.iter().zip(&sols) {
-                let opts = NewtonOptions {
-                    solver: kind,
-                    ..Default::default()
-                };
                 let serial = dc_operating_point(ckt, &opts, None).unwrap();
                 for (a, b) in sol.unknowns().iter().zip(serial.unknowns()) {
                     prop_assert!((a - b).abs() < 1e-9, "{kind:?}: {a} vs {b}");
@@ -157,8 +154,9 @@ proptest! {
         scales in proptest::collection::vec(0.5f64..2.0, 3),
     ) {
         let circuits: Vec<Circuit> = scales.iter().map(|&s| ladder(n_nodes, s, 1.2)).collect();
-        let params = TranParams::new(0.3 * NS, 3.0 * PS);
         for kind in [SolverKind::Dense, SolverKind::Sparse] {
+            let mut params = TranParams::new(0.3 * NS, 3.0 * PS);
+            params.newton.solver = kind;
             let mut sweep = BatchedSweep::new(&circuits, kind).unwrap();
             let results = sweep.transient(&circuits, &params).unwrap();
             let serial = serial_transients(&circuits, kind, &params);
@@ -181,7 +179,8 @@ fn nonlinear_inverter_batched_matches_serial() {
         .iter()
         .map(|&(p, c)| inverter(p, c))
         .collect();
-    let params = TranParams::new(0.5 * NS, 2.0 * PS);
+    let mut params = TranParams::new(0.5 * NS, 2.0 * PS);
+    params.newton.solver = SolverKind::Dense;
     let mut sweep = BatchedSweep::new(&circuits, SolverKind::Dense).expect("sweep");
     let results = sweep
         .transient(&circuits, &params)
@@ -197,20 +196,23 @@ fn nonlinear_inverter_batched_matches_serial() {
     }
 }
 
-/// Non-linear batched DC (masked Newton) matches the serial operating
-/// point per lane.
+/// Non-linear sweep DC matches the serial operating point per lane.
 #[test]
 fn nonlinear_inverter_dc_matches_serial() {
     let circuits: Vec<Circuit> = [(0.55, 8e-15), (0.85, 14e-15)]
         .iter()
         .map(|&(p, c)| inverter(p, c))
         .collect();
+    let opts = NewtonOptions {
+        solver: SolverKind::Dense,
+        ..Default::default()
+    };
     let mut sweep = BatchedSweep::new(&circuits, SolverKind::Dense).expect("sweep");
     let sols = sweep
-        .dc_operating_points(&circuits, &NewtonOptions::default(), None)
+        .dc_operating_points(&circuits, &opts, None)
         .expect("batched dc");
     for (ckt, sol) in circuits.iter().zip(&sols) {
-        let serial = dc_operating_point(ckt, &NewtonOptions::default(), None).expect("serial dc");
+        let serial = dc_operating_point(ckt, &opts, None).expect("serial dc");
         for (a, b) in sol.unknowns().iter().zip(serial.unknowns()) {
             assert!((a - b).abs() < 1e-6, "{a} vs {b}");
         }
@@ -230,14 +232,99 @@ fn sweep_rejects_mismatched_lanes() {
         .expect("topology mismatch must be rejected");
     assert!(err.to_string().contains("topology"), "got: {err}");
     // Lane-count mismatch on reuse.
+    let dense = NewtonOptions {
+        solver: SolverKind::Dense,
+        ..Default::default()
+    };
     let mut sweep = BatchedSweep::new(&[a.clone(), b.clone()], SolverKind::Dense).unwrap();
     let err = sweep
-        .dc_operating_points(std::slice::from_ref(&a), &NewtonOptions::default(), None)
+        .dc_operating_points(std::slice::from_ref(&a), &dense, None)
         .unwrap_err();
     assert!(err.to_string().contains("lane count"), "got: {err}");
     // Element-value change on reuse (lanes swapped).
     let err = sweep
-        .dc_operating_points(&[b, a], &NewtonOptions::default(), None)
+        .dc_operating_points(&[b, a], &dense, None)
         .unwrap_err();
     assert!(err.to_string().contains("element values"), "got: {err}");
+}
+
+/// A sweep runs on the solver it was built with and rejects a call that
+/// asks for another one, in DC and in transient — as a reused
+/// [`TranWorkspace`](sna_spice::tran::TranWorkspace) does.
+#[test]
+fn sweep_rejects_a_different_solver_selection() {
+    let lanes = [ladder(6, 1.0, 1.2), ladder(6, 1.5, 1.2)];
+    let mut sweep = BatchedSweep::new(&lanes, SolverKind::Dense).unwrap();
+    let sparse = NewtonOptions {
+        solver: SolverKind::Sparse,
+        ..Default::default()
+    };
+    let err = sweep
+        .dc_operating_points(&lanes, &sparse, None)
+        .unwrap_err();
+    assert!(err.to_string().contains("solver selection"), "got: {err}");
+    let mut params = TranParams::new(0.3 * NS, 3.0 * PS);
+    params.newton = sparse;
+    let err = sweep.transient(&lanes, &params).unwrap_err();
+    assert!(err.to_string().contains("solver selection"), "got: {err}");
+}
+
+/// Lanes of the linear ladder and of the non-linear inverter.
+fn lane_sets() -> [Vec<Circuit>; 2] {
+    [
+        [0.8, 1.0, 1.7].iter().map(|&s| ladder(7, s, 1.2)).collect(),
+        [(0.55, 8e-15), (0.85, 14e-15), (1.0, 20e-15)]
+            .iter()
+            .map(|&(p, c)| inverter(p, c))
+            .collect(),
+    ]
+}
+
+/// `{:?}` prints every `f64` in its shortest round-trip form, so equal
+/// strings are equal bits, the sign of zero included. It covers every field
+/// of a result: times, node and branch traces, names and iteration counts.
+fn bits<T: std::fmt::Debug>(v: &T) -> String {
+    format!("{v:?}")
+}
+
+/// Every lane of a sweep is the serial analysis of its circuit, bit for
+/// bit, and does not depend on the other lanes: each equals both
+/// [`transient`]/[`dc_operating_point`] on that lane's circuit and the same
+/// lane run alone in a one-lane sweep.
+#[test]
+fn sweep_lane_is_the_serial_analysis_bit_for_bit() {
+    for kind in [SolverKind::Dense, SolverKind::Sparse] {
+        let mut params = TranParams::new(0.5 * NS, 2.0 * PS);
+        params.newton.solver = kind;
+        for lanes in lane_sets() {
+            let mut sweep = BatchedSweep::new(&lanes, kind).unwrap();
+            let dc = sweep
+                .dc_operating_points(&lanes, &params.newton, None)
+                .unwrap();
+            let tran = sweep.transient(&lanes, &params).unwrap();
+            for (lane, ckt) in lanes.iter().enumerate() {
+                let serial_dc = dc_operating_point(ckt, &params.newton, None).unwrap();
+                let serial_tran = transient(ckt, &params).unwrap();
+                let alone = std::slice::from_ref(ckt);
+                let mut one = BatchedSweep::new(alone, kind).unwrap();
+                let one_dc = one
+                    .dc_operating_points(alone, &params.newton, None)
+                    .unwrap();
+                let one_tran = one.transient(alone, &params).unwrap();
+                let what = format!("{kind:?} lane {lane}");
+                assert_eq!(bits(&dc[lane]), bits(&serial_dc), "{what}: DC vs serial");
+                assert_eq!(bits(&dc[lane]), bits(&one_dc[0]), "{what}: DC vs alone");
+                assert_eq!(
+                    bits(&tran[lane]),
+                    bits(&serial_tran),
+                    "{what}: tran vs serial"
+                );
+                assert_eq!(
+                    bits(&tran[lane]),
+                    bits(&one_tran[0]),
+                    "{what}: tran vs alone"
+                );
+            }
+        }
+    }
 }

@@ -102,7 +102,7 @@ fn inverter_glitch_counters_match_hand_check() {
     let ckt = inverter();
     let mut ws = TranWorkspace::new(&ckt, SolverKind::Dense).unwrap();
     let mut params = TranParams::new(1.0 * NS, 1.0 * PS);
-    params.solver = SolverKind::Dense;
+    params.newton.solver = SolverKind::Dense;
     let before = local_snapshot();
     let res = transient_with(&ckt, &params, &mut ws).unwrap();
     let d = local_snapshot().since(&before);
@@ -145,7 +145,7 @@ fn linear_ladder_counters_match_hand_check() {
     let ckt = ladder(16);
     let mut ws = TranWorkspace::new(&ckt, SolverKind::Dense).unwrap();
     let mut params = TranParams::new(1.0 * NS, 2.0 * PS);
-    params.solver = SolverKind::Dense;
+    params.newton.solver = SolverKind::Dense;
     let before = local_snapshot();
     let res = transient_with(&ckt, &params, &mut ws).unwrap();
     let d = local_snapshot().since(&before);
@@ -164,8 +164,10 @@ fn linear_ladder_counters_match_hand_check() {
     assert_eq!(d.get(Metric::SolverSolves), steps + 1);
 }
 
-/// Batched K-lane sweep: lane accounting is exact — the transient's
-/// internal DC init is itself a sweep call, so calls/lanes double.
+/// K-lane sweep: each lane is a serial workspace, so every lane counts
+/// exactly what the serial linear-ladder hand check counts, in the `dc`,
+/// `tran` and `solver` counters; the sweep itself counts one call of four
+/// lanes, and its three per-lane work counters, which no code sets, read 0.
 #[test]
 fn batched_sweep_counters_match_hand_check() {
     let base = ladder(16);
@@ -186,17 +188,30 @@ fn batched_sweep_counters_match_hand_check() {
         })
         .collect();
     let mut sweep = BatchedSweep::new(&lanes, SolverKind::Dense).unwrap();
-    let params = TranParams::new(1.0 * NS, 2.0 * PS);
+    let mut params = TranParams::new(1.0 * NS, 2.0 * PS);
+    params.newton.solver = SolverKind::Dense;
     let before = local_snapshot();
     sweep.transient(&lanes, &params).unwrap();
     let d = local_snapshot().since(&before);
     let steps = (1.0 * NS / (2.0 * PS)).round() as u64;
 
-    assert_eq!(d.get(Metric::SweepCalls), 2, "transient + its DC init");
-    assert_eq!(d.get(Metric::SweepLanes), 8, "4 lanes counted by each call");
-    assert_eq!(d.get(Metric::SweepSteps), steps);
-    // Linear lanes: the masked Newton loop never runs and nothing falls
-    // back to the serial ladder.
+    assert_eq!(d.get(Metric::SweepCalls), 1);
+    assert_eq!(d.get(Metric::SweepLanes), 4);
+    assert_eq!(d.get(Metric::SweepSteps), 0);
     assert_eq!(d.get(Metric::SweepLaneNewtonIterations), 0);
     assert_eq!(d.get(Metric::SweepSerialFallbacks), 0);
+    // Per lane: one transient with its DC initial condition, a single
+    // direct solve (linear).
+    assert_eq!(d.get(Metric::TranCalls), 4);
+    assert_eq!(d.get(Metric::TranSteps), 4 * steps);
+    assert_eq!(d.get(Metric::TranNewtonIterations), 0);
+    assert_eq!(d.get(Metric::DcSolves), 4);
+    assert_eq!(d.get(Metric::DcNewtonIterations), 4);
+    // Per lane: the cold DC factor, the transient base refactor, and one
+    // solve per step plus the DC solve. The workspaces were built before
+    // the snapshot, so no solver selection is counted.
+    assert_eq!(d.get(Metric::SolverDenseSelected), 0);
+    assert_eq!(d.get(Metric::SolverFactorsDense), 4);
+    assert_eq!(d.get(Metric::SolverRefactorsDense), 4);
+    assert_eq!(d.get(Metric::SolverSolves), 4 * (steps + 1));
 }

@@ -70,7 +70,7 @@ fn coupled_bus_circuit(segments: usize) -> (Circuit, NodeId) {
 fn assert_fixed_step_agreement(ckt: &Circuit, probe: NodeId, t_stop: f64, dt: f64) {
     let reference = {
         let mut p = TranParams::new(t_stop, dt);
-        p.solver = SolverKind::Dense;
+        p.newton.solver = SolverKind::Dense;
         transient(ckt, &p).expect("dense transient")
     };
     let ref_wave = reference.node_waveform(probe);
@@ -80,7 +80,7 @@ fn assert_fixed_step_agreement(ckt: &Circuit, probe: NodeId, t_stop: f64, dt: f6
     );
     for kind in [SolverKind::Sparse, SolverKind::Auto] {
         let mut p = TranParams::new(t_stop, dt);
-        p.solver = kind;
+        p.newton.solver = kind;
         let res = transient(ckt, &p).expect("transient");
         let diff = ref_wave.max_abs_difference(&res.node_waveform(probe));
         assert!(diff < TOL, "{kind:?} deviates from dense by {diff:.3e}");
