@@ -8,7 +8,7 @@
 //! the same candidate space. The unconstrained alignment search is timed
 //! end to end by perfbench's `warm_worst_case` workload.
 //!
-//! Three modes, mirroring `benches/sweep.rs`:
+//! Three modes:
 //!
 //! * default — criterion harness: pruned vs exhaustive per grid size.
 //! * `--format json` — hand-timed medians as the `sna-bench-frame-v1`
@@ -203,7 +203,7 @@ fn bench_frame(c: &mut Criterion) {
     group.finish();
 }
 
-// Same dispatch pattern as benches/sweep.rs: criterion by default, plus
+// Same dispatch pattern as benches/cache.rs: criterion by default, plus
 // the `--test` / `--format json` modes.
 criterion_group!(benches, bench_frame);
 

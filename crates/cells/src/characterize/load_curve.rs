@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 use sna_spice::devices::{linspace, SourceWaveform, Table2d};
 use sna_spice::error::{Error, Result};
 use sna_spice::netlist::Circuit;
-use sna_spice::sweep::BatchedSweep;
+use sna_spice::tran::TranWorkspace;
 
 use crate::cell::{Cell, DriverMode};
 use crate::characterize::{driver_fixture, driver_output_caps, CharacterizeOptions};
@@ -78,33 +78,23 @@ pub fn characterize_load_curve(
     fx.ckt
         .add_vsource("Vout", fx.out, Circuit::gnd(), SourceWaveform::Dc(0.0));
 
-    // One lane per V_out sample: the lanes differ only in the clamp's DC
-    // level (a source waveform), so one K-lane sweep serves every row —
-    // each lane keeps its workspace (assembly, solver) across rows and is
-    // warm-started from its previous row's operating point.
-    let mut lanes: Vec<Circuit> = vout_axis
-        .iter()
-        .map(|&vout| {
-            let mut ckt = fx.ckt.clone();
-            ckt.set_source_wave("Vout", SourceWaveform::Dc(vout))?;
-            Ok(ckt)
-        })
-        .collect::<Result<_>>()?;
-    let mut sweep = BatchedSweep::new(&lanes, opts.newton.solver)?;
-
+    // One workspace runs the whole grid: only the two sources' DC levels
+    // change between points, so assembly and the solver are paid once.
+    // Each V_out column is warm-started from the row before it.
+    let mut ws = TranWorkspace::new(&fx.ckt, opts.newton.solver)?;
     let mut values = Vec::with_capacity(vin_axis.len() * vout_axis.len());
-    let mut warm: Option<Vec<Vec<f64>>> = None;
+    let mut warm: Vec<Option<Vec<f64>>> = vec![None; vout_axis.len()];
     for &vin in &vin_axis {
-        for lane in &mut lanes {
-            lane.set_source_wave(&fx.noisy_source, SourceWaveform::Dc(vin))?;
-        }
-        let sols = sweep.dc_operating_points(&lanes, &opts.newton, warm.as_deref())?;
-        for sol in &sols {
+        fx.ckt
+            .set_source_wave(&fx.noisy_source, SourceWaveform::Dc(vin))?;
+        for (&vout, warm) in vout_axis.iter().zip(&mut warm) {
+            fx.ckt.set_source_wave("Vout", SourceWaveform::Dc(vout))?;
+            let sol = ws.dc(&fx.ckt, &opts.newton, warm.as_deref())?;
             // The clamp supplies what the cell sinks: I_DC = -I(Vout).
             let i_br = sol.vsource_current("Vout").expect("Vout exists");
             values.push(-i_br);
+            *warm = Some(sol.unknowns().to_vec());
         }
-        warm = Some(sols.iter().map(|s| s.unknowns().to_vec()).collect());
     }
     Ok(LoadCurve {
         table: Table2d::new(vin_axis, vout_axis, values)?,

@@ -10,8 +10,7 @@ use serde::{Deserialize, Serialize};
 use sna_spice::devices::{SourceWaveform, Table2d};
 use sna_spice::error::{Error, Result};
 use sna_spice::netlist::Circuit;
-use sna_spice::sweep::BatchedSweep;
-use sna_spice::tran::TranParams;
+use sna_spice::tran::{transient_with, TranParams, TranWorkspace};
 use sna_spice::waveform::Waveform;
 
 use crate::cell::{Cell, DriverMode};
@@ -125,7 +124,7 @@ pub fn characterize_propagated_noise(
 }
 
 /// [`characterize_propagated_noise`] with explicit solver controls
-/// (`opts.newton.solver` picks the linear solver of the height sweep).
+/// (`opts.newton.solver` picks the linear solver of the grid's transients).
 ///
 /// # Errors
 ///
@@ -159,16 +158,16 @@ pub fn characterize_propagated_noise_with(
     let mut width50 = vec![0.0; n_grid];
     let mut area = vec![0.0; n_grid];
     let mut delay = vec![0.0; n_grid];
-    // All heights of one width column share the transient window, so they
-    // run as one K-lane sweep built once for the whole grid: each height's
-    // lane keeps its workspace (MNA assembly, solver) across the columns,
-    // and each column is one transient call over `heights.len()` lanes
-    // that differ only in the glitch source waveform.
-    let mut lanes: Vec<Circuit> = heights.iter().map(|_| fx.ckt.clone()).collect();
-    let mut sweep = BatchedSweep::new(&lanes, opts.newton.solver)?;
+    // One workspace runs the whole grid: only the glitch source's waveform
+    // changes between transients, so assembly and the solver are paid once.
+    let mut ws = TranWorkspace::new(&fx.ckt, opts.newton.solver)?;
     for (wi, &w) in widths.iter().enumerate() {
         let t_start = 50e-12;
-        for (lane, &h) in lanes.iter_mut().zip(heights) {
+        let horizon = t_start + 3.0 * w + 1.5e-9;
+        let dt = (w / 200.0).clamp(0.25e-12, 2e-12);
+        let mut params = TranParams::new(horizon, dt);
+        params.newton = opts.newton;
+        for (hi, &h) in heights.iter().enumerate() {
             let glitch = SourceWaveform::TriangleGlitch {
                 v_base: q_in,
                 v_peak: q_in + sign * h,
@@ -176,14 +175,8 @@ pub fn characterize_propagated_noise_with(
                 t_rise: 0.5 * w,
                 t_fall: 0.5 * w,
             };
-            lane.set_source_wave(&fx.noisy_source, glitch)?;
-        }
-        let horizon = t_start + 3.0 * w + 1.5e-9;
-        let dt = (w / 200.0).clamp(0.25e-12, 2e-12);
-        let mut params = TranParams::new(horizon, dt);
-        params.newton = opts.newton;
-        let results = sweep.transient(&lanes, &params)?;
-        for (hi, res) in results.iter().enumerate() {
+            fx.ckt.set_source_wave(&fx.noisy_source, glitch)?;
+            let res = transient_with(&fx.ckt, &params, &mut ws, &[])?;
             let wave = res.node_waveform(fx.out);
             let m = wave.glitch_metrics(mode.output_level);
             let idx = hi * widths.len() + wi;

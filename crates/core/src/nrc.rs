@@ -145,7 +145,7 @@ pub fn characterize_nrc_with(
             let dt = (w / 150.0).clamp(0.5e-12, 2e-12);
             let mut params = TranParams::new(horizon, dt);
             params.newton.solver = solver;
-            let res = transient_with(&fx.ckt, &params, ws)?;
+            let res = transient_with(&fx.ckt, &params, ws, &[])?;
             let out = res.node_waveform(fx.out);
             let crossed = if q_out > half {
                 out.min_value() < half

@@ -126,7 +126,7 @@ SERVE MODE:
                           memory and answer newline-delimited JSON queries
                           on stdin (one response per line on stdout):
                           {\"cmd\":\"analyze\"[,\"clusters\":[...]]} analyzes,
-                          re-running only clusters whose fingerprints
+                          re-running only clusters whose spec or options
                           changed; {\"cmd\":\"edit\",\"cluster\":...} mutates a
                           cluster; {\"cmd\":\"guard_band\",\"value\":v},
                           {\"cmd\":\"stats\"} and {\"cmd\":\"shutdown\"} do what

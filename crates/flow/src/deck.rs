@@ -6,14 +6,14 @@
 //! `.sna` card — or per the `--victim`/`--aggressors` CLI fallback when the
 //! deck carries no card.
 //!
-//! Each case runs a K=2 [`BatchedSweep`]: lane 0 is the deck as written, lane
-//! 1 a clone with every aggressor source frozen at its `t = 0` value. The
-//! victim-node difference between the lanes is the injected noise waveform;
-//! [`GlitchMetrics`] of that difference against a zero baseline give
-//! peak/width/area, and `margin = threshold − peak` drives the verdict.
-//! Each lane runs the serial transient on its own workspace, and the
-//! per-case work is embarrassingly parallel — reports are byte-identical
-//! across thread counts.
+//! Each case runs two transients, each on a fresh [`TranWorkspace`]: the
+//! noisy run is the deck as written, the quiet run a clone with every
+//! aggressor source frozen at its `t = 0` value. The victim-node difference
+//! between the two is the injected noise waveform; [`GlitchMetrics`] of
+//! that difference against a zero baseline give peak/width/area, and
+//! `margin = threshold − peak` drives the verdict. The deck's `.IC`
+//! overrides apply to both runs. The per-case work is embarrassingly
+//! parallel — reports are byte-identical across thread counts.
 
 use std::path::Path;
 
@@ -21,10 +21,9 @@ use sna_core::sna::Verdict;
 use sna_obs::Metric;
 use sna_spice::devices::SourceWaveform;
 use sna_spice::error::{Error, Result};
-use sna_spice::netlist::Element;
+use sna_spice::netlist::{Circuit, Element};
 use sna_spice::parser::{parse_deck_file, ParsedDeck, SnaCard};
-use sna_spice::solver::SolverKind;
-use sna_spice::sweep::BatchedSweep;
+use sna_spice::tran::{transient_with, TranWorkspace};
 use sna_spice::waveform::GlitchMetrics;
 
 use crate::output::{esc, num, verdict_tag};
@@ -157,9 +156,9 @@ fn analyze_case(parsed: &ParsedDeck, card: &SnaCard, opts: &DeckOptions) -> Resu
     // FRAME constraints: aggressors whose switching window cannot overlap
     // the victim sensitivity interval — or who lost their mutual-exclusion
     // slot to an earlier group member — cannot contribute noise, so they
-    // are frozen in *both* lanes (the lane difference then excludes them).
+    // are frozen in *both* runs (the difference then excludes them).
     // Only sources in the card's aggressor list participate: a source
-    // outside it switches identically in both lanes and cancels anyway.
+    // outside it switches identically in both runs and cancels anyway.
     let mut pruned: Vec<String> = Vec::new();
     if !(card.windows.is_empty() && card.mexcl.is_empty()) {
         sna_obs::count(Metric::FrameClusters, 1);
@@ -200,8 +199,8 @@ fn analyze_case(parsed: &ParsedDeck, card: &SnaCard, opts: &DeckOptions) -> Resu
         );
     }
 
-    // Lane 1: aggressors frozen at their t = 0 value, so the lane difference
-    // isolates the noise they inject.
+    // The quiet run: aggressors frozen at their t = 0 value, so the
+    // difference between the runs isolates the noise they inject.
     let mut quiet = circuit.clone();
     for aggr in &card.aggressors {
         let id = quiet.find_element(aggr).ok_or_else(|| {
@@ -218,8 +217,8 @@ fn analyze_case(parsed: &ParsedDeck, card: &SnaCard, opts: &DeckOptions) -> Resu
         quiet.set_source_wave(aggr, SourceWaveform::Dc(v0))?;
     }
 
-    // Lane 0: the pruned aggressors are frozen here too, removing their
-    // contribution from the lane difference.
+    // The noisy run: the pruned aggressors are frozen here too, removing
+    // their contribution from the difference.
     let mut noisy = circuit.clone();
     for src in &pruned {
         let id = noisy.find_element(src).ok_or_else(|| {
@@ -236,12 +235,13 @@ fn analyze_case(parsed: &ParsedDeck, card: &SnaCard, opts: &DeckOptions) -> Resu
         noisy.set_source_wave(src, SourceWaveform::Dc(v0))?;
     }
 
-    let lanes = [noisy, quiet];
-    let mut sweep = BatchedSweep::new(&lanes, SolverKind::Auto)?;
     let ics = parsed.resolve_ics();
-    let results = sweep.transient_with_ics(&lanes, tran, &ics)?;
-    let noisy = results[0].node_waveform(victim);
-    let still = results[1].node_waveform(victim);
+    let run = |ckt: &Circuit| {
+        let mut ws = TranWorkspace::new(ckt, tran.newton.solver)?;
+        transient_with(ckt, tran, &mut ws, &ics).map(|r| r.node_waveform(victim))
+    };
+    let noisy = run(&noisy)?;
+    let still = run(&quiet)?;
     let noise = noisy.sub(&still);
     let metrics = GlitchMetrics::from_waveform(&noise, 0.0);
     let margin = threshold - metrics.peak;
@@ -572,7 +572,7 @@ Rb vic_in 0 1k
         // Both aggressors together inject more than the gated pair.
         assert!(both_r.findings[0].metrics.peak > gated_r.findings[0].metrics.peak * 1.5);
         // The mexcl gate freezes exactly the second group member: bitwise
-        // the same lanes as the source-level freeze.
+        // the same runs as the source-level freeze.
         assert_eq!(
             gated_r.findings[0].metrics.peak.to_bits(),
             frozen_r.findings[0].metrics.peak.to_bits(),

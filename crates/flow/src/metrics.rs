@@ -9,8 +9,9 @@
 //!
 //! Sections:
 //!
-//! * `solver` / `dc` / `tran` / `sweep` — the `sna-obs` counters of the
-//!   four instrumented simulator layers,
+//! * `solver` / `dc` / `tran` — the `sna-obs` counters of the three
+//!   instrumented simulator layers; `sweep` keeps its five keys at 0 until
+//!   the next schema version drops the section,
 //! * `serve` — `sna serve` session counters (queries handled, clusters
 //!   re-analyzed, memoized results reused),
 //! * `cache` — per-artifact-kind hit/miss breakdown of the shared

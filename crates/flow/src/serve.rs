@@ -4,8 +4,9 @@
 //! engineer only nudged one cluster. Serve mode keeps the design, the
 //! receiver NRC and the characterization library resident, reads
 //! newline-delimited JSON queries on stdin, and re-analyzes **only the
-//! clusters whose fingerprints changed** since their memoized result —
-//! everything else is answered from the per-cluster result memo.
+//! clusters whose spec or analysis options changed** since their memoized
+//! result — everything else is answered from the per-cluster result memo,
+//! which keeps each finding with the spec and options it was computed at.
 //!
 //! The protocol is one JSON object per line in, one per line out:
 //!
@@ -18,7 +19,7 @@
 //!   `"aggressor":<idx>`, or `drop_aggressor`); the next `analyze`
 //!   re-runs just that cluster,
 //! * `{"cmd":"guard_band","value":0.05}` — change the NRC guard band
-//!   (re-fingerprints everything: verdicts depend on it),
+//!   (re-analyzes everything: verdicts depend on it),
 //! * `{"cmd":"stats"}` — session counters and cache statistics,
 //! * `{"cmd":"shutdown"}` — persist the library cache (if
 //!   `--library-cache` was given) and exit.
@@ -35,12 +36,11 @@ use std::sync::Arc;
 
 use sna_cells::Cell;
 use sna_core::cluster::{ClusterSpec, MacromodelOptions, SwitchingWindow};
-use sna_core::library::{opts_fingerprint, solver_code, tech_fingerprint, NoiseModelLibrary};
+use sna_core::library::NoiseModelLibrary;
 use sna_core::nrc::NoiseRejectionCurve;
 use sna_core::sna::{analyze_cluster, ClusterFinding, Design, SnaOptions};
 use sna_obs::Metric;
 use sna_spice::error::{Error, Result};
-use sna_spice::fnv::Fnv;
 use sna_spice::units::PS;
 
 use crate::cache::{load_library_cache, save_library_cache};
@@ -293,93 +293,17 @@ impl<'a> JsonParser<'a> {
 }
 
 // ---------------------------------------------------------------------------
-// Cluster fingerprints.
+// Result memo.
 
-fn cell_fp(h: &mut Fnv, cell: &Cell) {
-    h.write_str(cell.cell_type.tag());
-    h.write_f64(cell.strength);
-}
-
-fn window_fp(h: &mut Fnv, w: Option<SwitchingWindow>) {
-    match w {
-        Some(w) => {
-            h.write_u8(1);
-            h.write_f64(w.t_min);
-            h.write_f64(w.t_max);
-        }
-        None => h.write_u8(0),
-    }
-}
-
-/// FNV fingerprint of everything a cluster's finding depends on: the full
-/// [`ClusterSpec`] plus the analysis options.
-fn cluster_fingerprint(spec: &ClusterSpec, sna: &SnaOptions, mm: &MacromodelOptions) -> u64 {
-    let mut h = Fnv::new();
-    h.write_u64(tech_fingerprint(&spec.tech));
-    cell_fp(&mut h, &spec.victim.cell);
-    h.write_usize(spec.victim.mode.noisy_input);
-    h.write_usize(spec.victim.mode.input_levels.len());
-    for &v in &spec.victim.mode.input_levels {
-        h.write_f64(v);
-    }
-    h.write_f64(spec.victim.mode.output_level);
-    match &spec.victim.glitch {
-        Some(g) => {
-            h.write_u8(1);
-            h.write_f64(g.height);
-            h.write_f64(g.width);
-            h.write_f64(g.t_peak);
-        }
-        None => h.write_u8(0),
-    }
-    cell_fp(&mut h, &spec.victim.receiver);
-    window_fp(&mut h, spec.victim.sensitivity);
-    h.write_usize(spec.aggressors.len());
-    for a in &spec.aggressors {
-        cell_fp(&mut h, &a.cell);
-        h.write_bool(a.rising);
-        h.write_f64(a.input_slew);
-        h.write_f64(a.switch_time);
-        h.write_f64(a.receiver_cap);
-        window_fp(&mut h, a.window);
-        match a.mexcl_group {
-            Some(g) => {
-                h.write_u8(1);
-                h.write_u64(u64::from(g));
-            }
-            None => h.write_u8(0),
-        }
-    }
-    h.write_usize(spec.bus.segments);
-    h.write_usize(spec.bus.wires.len());
-    for w in &spec.bus.wires {
-        h.write_f64(w.length);
-        h.write_f64(w.r_per_m);
-        h.write_f64(w.cg_per_m);
-    }
-    h.write_usize(spec.bus.couplings.len());
-    for c in &spec.bus.couplings {
-        h.write_usize(c.a);
-        h.write_usize(c.b);
-        h.write_f64(c.cc_per_m);
-        h.write_f64(c.overlap);
-    }
-    h.write_u64(opts_fingerprint(&spec.char_opts));
-    h.write_f64(spec.t_stop);
-    h.write_f64(spec.dt);
-    h.write_bool(sna.align_worst_case);
-    h.write_f64(sna.align_window);
-    h.write_f64(sna.margin_band);
-    h.write_bool(sna.strict);
-    h.write_usize(sna.frame_grid);
-    h.write_bool(sna.frame_exhaustive);
-    h.write_bool(mm.include_driver_caps);
-    h.write_usize(mm.reduction_order);
-    h.write_f64(mm.expansion_point);
-    let (tag, arg) = solver_code(mm.solver);
-    h.write_u8(tag);
-    h.write_u64(arg);
-    h.finish()
+/// A memoized finding with everything it was computed from: the cluster's
+/// full [`ClusterSpec`] and the analysis options. It answers a later
+/// `analyze` only while all three still compare equal, so every field of
+/// those types — including ones added later — invalidates it.
+struct MemoEntry {
+    spec: ClusterSpec,
+    sna: SnaOptions,
+    mm: MacromodelOptions,
+    finding: ClusterFinding,
 }
 
 // ---------------------------------------------------------------------------
@@ -395,8 +319,8 @@ pub struct ServeState {
     nrc: Arc<NoiseRejectionCurve>,
     library: NoiseModelLibrary,
     opts: FlowOptions,
-    /// Per-cluster memo: name → (fingerprint it was computed at, finding).
-    memo: HashMap<String, (u64, ClusterFinding)>,
+    /// Per-cluster memo: name → finding and the inputs it was computed at.
+    memo: HashMap<String, MemoEntry>,
     queries: u64,
     reanalyzed: u64,
     memo_hits: u64,
@@ -553,14 +477,15 @@ impl ServeState {
         targets.sort_unstable();
         targets.dedup();
 
-        // Split into memo hits and fingerprint-changed (or cold) clusters.
+        // Split into memo hits and changed (or cold) clusters.
         let mut stale: Vec<usize> = Vec::new();
         let mut memo_hits = 0u64;
         for &i in &targets {
             let cl = &self.design.clusters[i];
-            let fp = cluster_fingerprint(&cl.spec, &self.opts.sna, &self.opts.mm);
             match self.memo.get(&cl.name) {
-                Some((have, _)) if *have == fp => memo_hits += 1,
+                Some(e) if e.spec == cl.spec && e.sna == self.opts.sna && e.mm == self.opts.mm => {
+                    memo_hits += 1
+                }
                 _ => stale.push(i),
             }
         }
@@ -585,8 +510,13 @@ impl ServeState {
             let cl = &self.design.clusters[i];
             match outcome {
                 Ok(finding) => {
-                    let fp = cluster_fingerprint(&cl.spec, &self.opts.sna, &self.opts.mm);
-                    self.memo.insert(cl.name.clone(), (fp, finding));
+                    let entry = MemoEntry {
+                        spec: cl.spec.clone(),
+                        sna: self.opts.sna,
+                        mm: self.opts.mm,
+                        finding,
+                    };
+                    self.memo.insert(cl.name.clone(), entry);
                 }
                 Err(e) => {
                     return err_json(&format!("cluster '{}' failed: {e}", cl.name));
@@ -603,7 +533,7 @@ impl ServeState {
             .iter()
             .map(|&i| {
                 let name = &self.design.clusters[i].name;
-                let (_, f) = &self.memo[name];
+                let f = &self.memo[name].finding;
                 // Constrained (FRAME) margin rides along only for clusters
                 // that carry constraints.
                 let constrained = match &f.constrained {
@@ -1026,6 +956,78 @@ mod tests {
         assert!(r.contains("t_min <= t_max"), "{r}");
         let r = s.handle_line(r#"{"cmd": "analyze"}"#);
         assert!(r.contains("\"memo_hits\": 2"), "{r}");
+    }
+
+    /// Every `edit` field changes a value the memo compares, so each one
+    /// re-analyzes its own cluster and serves every other from the memo.
+    /// A no-op edit (the current value again) re-analyzes nothing.
+    #[test]
+    fn each_edit_field_reanalyzes_exactly_its_cluster() {
+        let mut s = session(6);
+        let r = s.handle_line(r#"{"cmd": "analyze"}"#);
+        assert!(r.contains("\"analyzed\": 6"), "{r}");
+        let clusters = &s.design.clusters;
+        let glitched = clusters
+            .iter()
+            .position(|c| c.spec.victim.glitch.is_some())
+            .expect("a glitched victim in 6 draws");
+        let multi = clusters
+            .iter()
+            .position(|c| c.spec.aggressors.len() >= 2)
+            .expect("a multi-aggressor cluster in 6 draws");
+        let g = clusters[glitched].spec.victim.glitch.expect("glitch");
+        let (height, width) = (1.1 * g.height, 1.1 * g.width);
+        let a = &clusters[0].spec.aggressors[0];
+        let strength = a.cell.strength + 1.0;
+        let (slew, switch, cap) = (
+            1.25 * a.input_slew,
+            1.1 * a.switch_time,
+            1.5 * a.receiver_cap,
+        );
+        let rising = !a.rising;
+        let edits = [
+            (glitched, format!(r#""glitch_height": {height:e}"#)),
+            (glitched, format!(r#""glitch_width": {width:e}"#)),
+            (0, r#""sensitivity": [0, 1e-8]"#.to_string()),
+            (0, format!(r#""aggressor": 0, "strength": {strength}"#)),
+            (0, format!(r#""aggressor": 0, "input_slew": {slew:e}"#)),
+            (0, format!(r#""aggressor": 0, "switch_time": {switch:e}"#)),
+            (0, format!(r#""aggressor": 0, "rising": {rising}"#)),
+            (0, format!(r#""aggressor": 0, "receiver_cap": {cap:e}"#)),
+            (0, r#""aggressor": 0, "window": [0, 1e-8]"#.to_string()),
+            (0, r#""aggressor": 0, "mexcl": 3"#.to_string()),
+            (multi, r#""drop_aggressor": 0"#.to_string()),
+        ];
+        for (i, fields) in edits {
+            let name = s.design.clusters[i].name.clone();
+            let r = s.handle_line(&format!(
+                r#"{{"cmd": "edit", "cluster": "{name}", {fields}}}"#
+            ));
+            assert!(r.contains("\"ok\": true"), "{fields} -> {r}");
+            let others: Vec<String> = s
+                .design
+                .clusters
+                .iter()
+                .filter(|c| c.name != name)
+                .map(|c| format!("\"{}\"", c.name))
+                .collect();
+            let r = s.handle_line(&format!(
+                r#"{{"cmd": "analyze", "clusters": [{}]}}"#,
+                others.join(", ")
+            ));
+            assert!(r.contains("\"analyzed\": 0"), "{fields}: others -> {r}");
+            let r = s.handle_line(r#"{"cmd": "analyze"}"#);
+            assert!(r.contains("\"analyzed\": 1"), "{fields} -> {r}");
+            assert!(r.contains("\"memo_hits\": 5"), "{fields} -> {r}");
+        }
+        // Re-setting a field to the value it holds changes nothing.
+        let slew = s.design.clusters[0].spec.aggressors[0].input_slew;
+        let r = s.handle_line(&format!(
+            r#"{{"cmd": "edit", "cluster": "net000", "aggressor": 0, "input_slew": {slew:e}}}"#
+        ));
+        assert!(r.contains("\"ok\": true"), "{r}");
+        let r = s.handle_line(r#"{"cmd": "analyze"}"#);
+        assert!(r.contains("\"analyzed\": 0"), "{r}");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! End-to-end corpus gate: every checked-in deck runs through the whole
-//! `sna --deck` pipeline (parse → flatten → K-lane transient → glitch
-//! metrics → report) and the JSON report must match its golden byte for
-//! byte — at every thread count.
+//! `sna --deck` pipeline (parse → flatten → noisy and quiet transients →
+//! glitch metrics → report) and the JSON report must match its golden byte
+//! for byte — at every thread count.
 //!
 //! Regenerate goldens after an intentional change with
 //!

@@ -1,12 +1,12 @@
 //! # sna-obs — zero-dependency observability for the SNA engine
 //!
-//! The engine spans four performance-critical layers (sparse LU refactor,
-//! K-lane batched sweeps, the sharded characterization cache, and the
-//! order-preserving worker pool). This crate is the shared instrumentation
-//! substrate they all report into:
+//! The engine spans three performance-critical layers (the dense/sparse
+//! LU solver under DC and transient analyses, the sharded
+//! characterization cache, and the order-preserving worker pool). This
+//! crate is the shared instrumentation substrate they all report into:
 //!
 //! * [`Metric`] — a fixed vocabulary of monotonic counters (factor vs
-//!   refactor, Newton iterations, fallback ladders, sweep lanes, …).
+//!   refactor, Newton iterations, fallback ladders, …).
 //! * [`count`] — lock-free counting: every thread owns a
 //!   [`LocalRecorder`] of relaxed atomics that only it writes, so the hot
 //!   path never contends. Aggregation sums across recorders at snapshot

@@ -47,22 +47,21 @@ pub enum Metric {
     /// Always 0: kept only so the `sna-metrics-v1` document keeps its
     /// `rejected_steps` key until the next schema version drops it.
     TranRejectedSteps,
-    /// K-lane sweep analyses run (DC or transient). Each lane's own work
-    /// counts in the solver, DC and transient counters.
+    /// Always 0, like the four `Sweep*` counters after it: no sweep runs
+    /// any more (characterization grids run on one `TranWorkspace`, whose
+    /// work counts in the solver, DC and transient counters). Kept only so
+    /// the `sna-metrics-v1` document keeps its `sweep` section until the
+    /// next schema version drops it.
     SweepCalls,
-    /// Total lanes carried by those sweeps (sum of K).
+    /// Always 0 (see [`Metric::SweepCalls`]); the section's `lanes` key.
     SweepLanes,
-    /// Always 0: kept only so the `sna-metrics-v1` document keeps its
-    /// `lane_newton_iterations` key until the next schema version drops it
-    /// (a lane's Newton iterations count in the DC and transient counters).
+    /// Always 0 (see [`Metric::SweepCalls`]); the section's
+    /// `lane_newton_iterations` key.
     SweepLaneNewtonIterations,
-    /// Always 0: kept only so the `sna-metrics-v1` document keeps its
-    /// `serial_fallbacks` key until the next schema version drops it (a
-    /// lane's DC runs the continuation ladder itself).
+    /// Always 0 (see [`Metric::SweepCalls`]); the section's
+    /// `serial_fallbacks` key.
     SweepSerialFallbacks,
-    /// Always 0: kept only so the `sna-metrics-v1` document keeps its
-    /// `steps` key in the sweep section until the next schema version drops
-    /// it (a lane's steps count in the transient counters).
+    /// Always 0 (see [`Metric::SweepCalls`]); the section's `steps` key.
     SweepSteps,
     /// Queries handled by an `sna serve` session (any command).
     ServeQueries,

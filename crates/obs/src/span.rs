@@ -49,9 +49,6 @@ pub enum Phase {
     Dc,
     /// Fixed-step transient analysis.
     Tran,
-    /// K-lane sweep analysis; its lanes' DC and transient phases nest
-    /// under it.
-    Sweep,
     /// Cold matrix factorization (dense or sparse).
     Factor,
     /// Numeric refactorization reusing a stored pivot sequence.
@@ -61,7 +58,7 @@ pub enum Phase {
 }
 
 /// Number of [`Phase`] variants.
-pub const PHASE_COUNT: usize = 16;
+pub const PHASE_COUNT: usize = 15;
 
 /// Every phase, in index order.
 pub const ALL_PHASES: [Phase; PHASE_COUNT] = [
@@ -77,7 +74,6 @@ pub const ALL_PHASES: [Phase; PHASE_COUNT] = [
     Phase::Reduce,
     Phase::Dc,
     Phase::Tran,
-    Phase::Sweep,
     Phase::Factor,
     Phase::Refactor,
     Phase::Solve,
@@ -103,7 +99,6 @@ impl Phase {
             Phase::Reduce => "reduce",
             Phase::Dc => "dc",
             Phase::Tran => "tran",
-            Phase::Sweep => "sweep",
             Phase::Factor => "factor",
             Phase::Refactor => "refactor",
             Phase::Solve => "solve",

@@ -1,10 +1,12 @@
-//! DC operating-point analysis and sweeps.
+//! DC operating-point analysis.
 //!
 //! Newton–Raphson on the MNA system with step damping; if plain Newton
 //! stalls, the solver falls back to gmin stepping and then source stepping —
-//! the standard SPICE continuation ladder. DC sweeps warm-start every point
-//! from the previous solution, which is what makes the 33×33 load-curve
-//! characterization grids (paper Eq. 1) cheap.
+//! the standard SPICE continuation ladder. A grid of operating points of
+//! one circuit runs on one [`crate::tran::TranWorkspace`] through
+//! [`TranWorkspace::dc`](crate::tran::TranWorkspace::dc), each point
+//! warm-started from a neighbour's solution: that is what makes the 33×33
+//! load-curve characterization grids (paper Eq. 1) cheap.
 
 use serde::{Deserialize, Serialize};
 use sna_obs::{count, phase_span, Metric, Phase};
@@ -180,7 +182,7 @@ fn vsource_names(circuit: &Circuit, mna: &MnaSystem) -> Vec<String> {
 /// Compute the DC operating point with full continuation fallbacks.
 ///
 /// `warm_start` (raw unknown vector from a previous [`DcSolution`]) seeds
-/// Newton; sweeps should always pass the previous point.
+/// Newton; a grid of operating points should pass a neighbouring point.
 ///
 /// # Errors
 ///
@@ -201,15 +203,10 @@ pub fn dc_operating_point(
 }
 
 /// [`dc_operating_point`] on a caller-owned MNA system and solver — the
-/// path for workspaces (e.g. [`crate::tran::TranWorkspace`]) that already
-/// paid matrix assembly and symbolic analysis for this circuit. The
-/// solver's α is reset to 0 (`G`-only) on entry; the caller re-applies its
-/// own α afterwards.
-///
-/// # Errors
-///
-/// As [`dc_operating_point`].
-pub fn dc_operating_point_with(
+/// path for [`crate::tran::TranWorkspace`], which already paid matrix
+/// assembly and symbolic analysis for this circuit. The solver's α is reset
+/// to 0 (`G`-only) on entry; the caller re-applies its own α afterwards.
+pub(crate) fn dc_operating_point_with(
     circuit: &Circuit,
     opts: &NewtonOptions,
     warm_start: Option<&[f64]>,
@@ -282,32 +279,6 @@ pub fn dc_operating_point_with(
         vsource_names: vsource_names(circuit, mna),
         iterations: total_iters,
     })
-}
-
-/// Sweep the DC value of the named voltage source over `values`,
-/// warm-starting each point. Returns one solution per value.
-///
-/// # Errors
-///
-/// Fails if the source does not exist or any point fails to converge.
-pub fn dc_sweep(
-    circuit: &mut Circuit,
-    source: &str,
-    values: &[f64],
-    opts: &NewtonOptions,
-) -> Result<Vec<DcSolution>> {
-    if values.is_empty() {
-        return Err(Error::InvalidAnalysis("empty DC sweep".into()));
-    }
-    let mut out = Vec::with_capacity(values.len());
-    let mut warm: Option<Vec<f64>> = None;
-    for &v in values {
-        circuit.set_source_wave(source, crate::devices::SourceWaveform::Dc(v))?;
-        let sol = dc_operating_point(circuit, opts, warm.as_deref())?;
-        warm = Some(sol.unknowns().to_vec());
-        out.push(sol);
-    }
-    Ok(out)
 }
 
 /// Small-signal conductance seen into `node` from ground, by finite
@@ -438,39 +409,6 @@ mod tests {
     }
 
     #[test]
-    fn inverter_dc_sweep_monotone() {
-        let vdd = 1.2;
-        let mut ckt = Circuit::new();
-        let vin = ckt.node("in");
-        let vout = ckt.node("out");
-        let vddn = ckt.node("vdd");
-        ckt.add_vsource("Vdd", vddn, Circuit::gnd(), SourceWaveform::Dc(vdd));
-        ckt.add_vsource("Vin", vin, Circuit::gnd(), SourceWaveform::Dc(0.0));
-        ckt.add_mosfet(
-            "Mn",
-            vout,
-            vin,
-            Circuit::gnd(),
-            Circuit::gnd(),
-            nmos(),
-            0.42e-6,
-            0.13e-6,
-        )
-        .unwrap();
-        ckt.add_mosfet("Mp", vout, vin, vddn, vddn, pmos(), 0.64e-6, 0.13e-6)
-            .unwrap();
-        let values: Vec<f64> = (0..=24).map(|i| vdd * i as f64 / 24.0).collect();
-        let sols = dc_sweep(&mut ckt, "Vin", &values, &NewtonOptions::default()).unwrap();
-        let outs: Vec<f64> = sols.iter().map(|s| s.voltage(vout)).collect();
-        // Monotone non-increasing transfer curve.
-        for w in outs.windows(2) {
-            assert!(w[1] <= w[0] + 1e-6, "VTC not monotone: {outs:?}");
-        }
-        assert!(outs[0] > vdd - 0.05);
-        assert!(outs[24] < 0.05);
-    }
-
-    #[test]
     fn nand2_output_low_when_both_high() {
         let vdd = 1.2;
         let mut ckt = Circuit::new();
@@ -544,14 +482,5 @@ mod tests {
             "v={}",
             sol.voltage(out)
         );
-    }
-
-    #[test]
-    fn empty_sweep_rejected() {
-        let mut ckt = Circuit::new();
-        let a = ckt.node("a");
-        ckt.add_vsource("V", a, Circuit::gnd(), SourceWaveform::Dc(0.0));
-        ckt.add_resistor("R", a, Circuit::gnd(), 1.0).unwrap();
-        assert!(dc_sweep(&mut ckt, "V", &[], &NewtonOptions::default()).is_err());
     }
 }

@@ -13,8 +13,12 @@
 //! * [`mna`] — Modified Nodal Analysis assembly (`G`, `C` matrices, RHS,
 //!   non-linear stamps).
 //! * [`dc`] — Newton–Raphson operating point with gmin/source stepping,
-//!   sweeps, small-signal input conductance (holding resistance).
-//! * [`tran`] — fixed-step trapezoidal transient.
+//!   small-signal input conductance (holding resistance).
+//! * [`tran`] — fixed-step trapezoidal transient, and
+//!   [`tran::TranWorkspace`], the one reuse unit: characterization grids
+//!   run every DC point and transient of a circuit on one workspace,
+//!   changing only source waveforms between runs (bit-exact on the dense
+//!   path).
 //! * [`devices`] — source waveforms, the smoothed Shichman–Hodges MOSFET,
 //!   and the bilinear [`devices::Table2d`] behind the paper's Eq. (1).
 //! * [`waveform`] — sampled waveforms and glitch metrics (peak/width/area).
@@ -25,10 +29,6 @@
 //!   symbolic/numeric LU split (cold factor once, refactor per iteration).
 //! * [`solver`] — dense/sparse backend selection ([`solver::SolverKind`])
 //!   shared by every repeated solve in the workspace.
-//! * [`sweep`] — [`sweep::BatchedSweep`], `K` circuits of one topology,
-//!   each lane a [`tran::TranWorkspace`] built once per sweep and run
-//!   through the serial DC and transient analyses (corner sweeps,
-//!   characterization grids).
 //!
 //! ## Quickstart
 //!
@@ -64,7 +64,6 @@ pub mod netlist;
 pub mod parser;
 pub mod solver;
 pub mod sparse;
-pub mod sweep;
 pub mod tran;
 pub mod units;
 pub mod waveform;
@@ -73,10 +72,7 @@ pub use error::{Error, Result};
 
 /// Convenient glob-import surface for downstream crates.
 pub mod prelude {
-    pub use crate::dc::{
-        dc_input_conductance, dc_operating_point, dc_operating_point_with, dc_sweep, DcSolution,
-        NewtonOptions,
-    };
+    pub use crate::dc::{dc_input_conductance, dc_operating_point, DcSolution, NewtonOptions};
     pub use crate::devices::{
         linspace, DiodeModel, MosPolarity, MosfetModel, SourceWaveform, Table2d, TableEval,
     };
@@ -88,7 +84,6 @@ pub mod prelude {
     };
     pub use crate::solver::{SolverKind, SystemSolver, SPARSE_AUTO_THRESHOLD};
     pub use crate::sparse::{SparseLu, SparseMatrix, Symbolic};
-    pub use crate::sweep::BatchedSweep;
     pub use crate::tran::{transient, transient_with, TranParams, TranResult, TranWorkspace};
     pub use crate::units::*;
     pub use crate::waveform::{GlitchError, GlitchMetrics, Waveform};

@@ -2,8 +2,7 @@
 //! and the sparse symbolic/numeric LU of [`crate::sparse`].
 //!
 //! Every repeated solve in the workspace — Newton iterations in DC, the
-//! per-step trapezoidal systems in transient (every lane of a
-//! [`crate::sweep::BatchedSweep`] included), PRIMA's shifted solves — goes
+//! per-step trapezoidal systems in transient, PRIMA's shifted solves — goes
 //! through [`SystemSolver`], which owns the assembled linear part (`G`, `C`,
 //! their combination `G + α·C`), the Jacobian being stamped, and the
 //! factors. The backend is chosen once per system by [`SolverKind`]: `Auto`

@@ -7,9 +7,14 @@
 //! per step — this asymmetry is part of why macromodel-based noise analysis
 //! is fast.
 //!
-//! This is the only stepping loop in the crate: every lane of a
-//! [`crate::sweep::BatchedSweep`] runs it on its own [`TranWorkspace`],
-//! with deck mode's `.IC` overrides as a crate-private argument.
+//! A [`TranWorkspace`] is the simulator's one reuse unit: characterization
+//! grids build one per circuit and run every DC point
+//! ([`TranWorkspace::dc`]) and transient ([`transient_with`]) on it,
+//! changing only source waveforms between runs. On the dense path a
+//! reused workspace gives the fresh analysis bit for bit, because every
+//! dense refactor redoes its pivot search. [`transient_with`] is the only
+//! stepping loop in the crate; deck mode's `.IC` overrides reach it as an
+//! argument.
 
 use serde::{Deserialize, Serialize};
 use sna_obs::{count, phase_span, Metric, Phase};
@@ -117,18 +122,26 @@ impl TranResult {
     }
 }
 
-/// Reusable per-topology transient state: the assembled [`MnaSystem`], the
+/// Reusable per-circuit analysis state: the assembled [`MnaSystem`], the
 /// (dense or sparse) [`SystemSolver`] with its symbolic analysis, and every
 /// scratch vector the stepping loop needs. Building one per call is what
-/// [`transient`] does; characterization sweeps that re-simulate the same
-/// topology with different source waveforms should build it once and call
-/// [`transient_with`] so matrix assembly and symbolic analysis are paid
-/// once per topology, and the inner loop runs allocation-free.
+/// [`transient`] does; characterization grids that re-simulate one circuit
+/// with different source waveforms build it once and call
+/// [`TranWorkspace::dc`] or [`transient_with`], so matrix assembly and
+/// symbolic analysis are paid once per circuit, and the inner loop runs
+/// allocation-free.
 ///
 /// Only **source waveforms** may change between runs on one workspace: the
 /// G/C matrices are assembled at construction, so any other edit — element
 /// values, device sizes, added/removed elements or nodes — requires a fresh
 /// workspace (and is rejected by a fingerprint check).
+///
+/// Reuse is bit-exact on the dense path: each dense factorization redoes
+/// its partial pivoting, so a run on a reused workspace equals
+/// [`dc_operating_point`](crate::dc::dc_operating_point) or [`transient`]
+/// on a fresh one. A sparse workspace replays its stored pivot sequence,
+/// so its results carry the history of earlier runs within the Newton
+/// tolerances.
 pub struct TranWorkspace {
     mna: MnaSystem,
     kind: SolverKind,
@@ -172,7 +185,7 @@ impl TranStats {
 /// Order-sensitive FNV-1a hash of every stamped element value *and* every
 /// terminal wiring (source waveforms excluded — those are the one thing a
 /// workspace re-run may legitimately change).
-pub(crate) fn circuit_value_hash(circuit: &Circuit) -> u64 {
+fn circuit_value_hash(circuit: &Circuit) -> u64 {
     let mut h = Fnv::new();
     let mut mix = |v: u64| h.write_u64(v);
     let n = |id: &NodeId| if id.is_ground() { 0 } else { id.index() as u64 };
@@ -267,87 +280,6 @@ pub(crate) fn circuit_value_hash(circuit: &Circuit) -> u64 {
     h.finish()
 }
 
-/// Order-sensitive FNV-1a hash of the circuit *wiring only*: element kind
-/// tags and terminal nodes, no values. Lanes of a batched sweep must share
-/// this hash (identical topology) while their element values — and hence
-/// their [`circuit_value_hash`] — may legitimately differ per lane.
-pub(crate) fn circuit_topology_hash(circuit: &Circuit) -> u64 {
-    let mut h = Fnv::new();
-    let mut mix = |v: u64| h.write_u64(v);
-    let n = |id: &NodeId| if id.is_ground() { 0 } else { id.index() as u64 };
-    for el in circuit.elements() {
-        match el {
-            Element::Resistor { a, b, .. } => {
-                mix(1);
-                mix(n(a) | n(b) << 32);
-            }
-            Element::Capacitor { a, b, .. } => {
-                mix(2);
-                mix(n(a) | n(b) << 32);
-            }
-            Element::VSource { pos, neg, .. } => {
-                mix(3);
-                mix(n(pos) | n(neg) << 32);
-            }
-            Element::ISource { pos, neg, .. } => {
-                mix(4);
-                mix(n(pos) | n(neg) << 32);
-            }
-            Element::LinearVccs {
-                out_p,
-                out_n,
-                ctrl_p,
-                ctrl_n,
-                ..
-            } => {
-                mix(5);
-                mix(n(out_p) | n(out_n) << 16 | n(ctrl_p) << 32 | n(ctrl_n) << 48);
-            }
-            Element::TableVccs {
-                out_p, out_n, ctrl, ..
-            } => {
-                mix(6);
-                mix(n(out_p) | n(out_n) << 16 | n(ctrl) << 32);
-            }
-            Element::Mosfet { d, g, s, b, .. } => {
-                mix(7);
-                mix(n(d) | n(g) << 16 | n(s) << 32 | n(b) << 48);
-            }
-            Element::Vcvs {
-                out_p,
-                out_n,
-                ctrl_p,
-                ctrl_n,
-                ..
-            } => {
-                mix(8);
-                mix(n(out_p) | n(out_n) << 16 | n(ctrl_p) << 32 | n(ctrl_n) << 48);
-            }
-            // The controlling-source *name* is part of the topology: it
-            // decides which branch column the F/H stamp lands in.
-            Element::Cccs {
-                out_p, out_n, ctrl, ..
-            } => {
-                mix(9);
-                mix(n(out_p) | n(out_n) << 32);
-                mix(Fnv::hash_bytes(ctrl.as_bytes()));
-            }
-            Element::Ccvs {
-                out_p, out_n, ctrl, ..
-            } => {
-                mix(10);
-                mix(n(out_p) | n(out_n) << 32);
-                mix(Fnv::hash_bytes(ctrl.as_bytes()));
-            }
-            Element::Diode { p, n: dn, .. } => {
-                mix(11);
-                mix(n(p) | n(dn) << 32);
-            }
-        }
-    }
-    h.finish()
-}
-
 impl TranWorkspace {
     /// Assemble the workspace for `circuit` with the given solver
     /// selection.
@@ -394,7 +326,7 @@ impl TranWorkspace {
     /// construction-time values, so a changed value would silently simulate
     /// the old circuit — and so is a solver selection other than the one
     /// the workspace was built with.
-    pub(crate) fn check(&self, circuit: &Circuit, kind: SolverKind) -> Result<()> {
+    fn check(&self, circuit: &Circuit, kind: SolverKind) -> Result<()> {
         if circuit.node_count() != self.node_count || circuit.elements().len() != self.element_count
         {
             return Err(Error::InvalidAnalysis(
@@ -416,15 +348,23 @@ impl TranWorkspace {
         Ok(())
     }
 
-    /// DC operating point of `circuit` on this workspace's MNA system and
-    /// solver: assembly and the sparse symbolic analysis are not repeated
-    /// per call. The caller has run [`TranWorkspace::check`].
-    pub(crate) fn dc(
+    /// [`dc_operating_point`](crate::dc::dc_operating_point) of `circuit` on
+    /// this workspace's MNA system and solver: assembly and the sparse
+    /// symbolic analysis are not repeated per call. `warm_start` seeds
+    /// Newton as in `dc_operating_point`.
+    ///
+    /// # Errors
+    ///
+    /// As `dc_operating_point`, plus [`Error::InvalidAnalysis`] when
+    /// `circuit` differs from the workspace's in anything but source
+    /// waveforms, or `opts.solver` is not the workspace's selection.
+    pub fn dc(
         &mut self,
         circuit: &Circuit,
         opts: &NewtonOptions,
         warm_start: Option<&[f64]>,
     ) -> Result<DcSolution> {
+        self.check(circuit, opts.solver)?;
         dc_operating_point_with(circuit, opts, warm_start, &self.mna, &mut self.solver)
     }
 }
@@ -437,28 +377,29 @@ impl TranWorkspace {
 /// non-convergence at some time step, or a singular system matrix.
 pub fn transient(circuit: &Circuit, params: &TranParams) -> Result<TranResult> {
     let mut ws = TranWorkspace::new(circuit, params.newton.solver)?;
-    transient_with(circuit, params, &mut ws)
+    transient_with(circuit, params, &mut ws, &[])
 }
 
-/// [`transient`] reusing a caller-owned [`TranWorkspace`] (same circuit
-/// topology; source waveforms may differ between calls).
+/// [`transient`] on a caller-owned [`TranWorkspace`] (same circuit; source
+/// waveforms may differ between calls), with `.IC` overrides.
+///
+/// `ics` are `.IC` overrides (pass `&[]` for none): after the DC solve (or
+/// the all-zeros `UIC` start when `dc_init` is false) each listed node's
+/// starting voltage is forced to the given value. This is the SPICE `.IC`
+/// approximation — the override biases the initial state rather than
+/// adding a constraint row, so the first steps relax any resulting KCL
+/// imbalance. Ground and unknown nodes are ignored.
 ///
 /// # Errors
 ///
-/// As [`transient`], plus a workspace/topology mismatch or a
+/// As [`transient`], plus a workspace/circuit mismatch or a
 /// `params.newton.solver` other than the workspace's.
 pub fn transient_with(
     circuit: &Circuit,
     params: &TranParams,
     ws: &mut TranWorkspace,
+    ics: &[(NodeId, f64)],
 ) -> Result<TranResult> {
-    check_window(params)?;
-    ws.check(circuit, params.newton.solver)?;
-    run_transient(circuit, params, ws, &[])
-}
-
-/// Reject a non-positive, NaN, or inverted transient window.
-pub(crate) fn check_window(params: &TranParams) -> Result<()> {
     // `is_nan()` checks keep the rejection of NaN parameters explicit.
     if params.dt.is_nan()
         || params.dt <= 0.0
@@ -471,23 +412,7 @@ pub(crate) fn check_window(params: &TranParams) -> Result<()> {
             params.t_stop, params.dt
         )));
     }
-    Ok(())
-}
-
-/// The trapezoidal stepping loop behind [`transient_with`]. `ics` are `.IC`
-/// overrides: after the DC solve (or the all-zeros `UIC` start when
-/// `dc_init` is false) each listed node's starting voltage is forced to the
-/// given value. This is the SPICE `.IC` approximation — the override biases
-/// the initial state rather than adding a constraint row, so the first
-/// steps relax any resulting KCL imbalance. Ground and unknown nodes are
-/// ignored. The caller has run [`check_window`] and
-/// [`TranWorkspace::check`].
-pub(crate) fn run_transient(
-    circuit: &Circuit,
-    params: &TranParams,
-    ws: &mut TranWorkspace,
-    ics: &[(NodeId, f64)],
-) -> Result<TranResult> {
+    ws.check(circuit, params.newton.solver)?;
     let _t = phase_span(Phase::Tran);
     ws.stats = TranStats::default();
     let dim = ws.mna.dim();
@@ -496,7 +421,9 @@ pub(crate) fn run_transient(
 
     // Initial condition. The DC solve follows the same solver selection.
     let mut x: Vec<f64> = if params.dc_init {
-        ws.dc(circuit, &params.newton, None)?.unknowns().to_vec()
+        dc_operating_point_with(circuit, &params.newton, None, &ws.mna, &mut ws.solver)?
+            .unknowns()
+            .to_vec()
     } else {
         vec![0.0; dim]
     };

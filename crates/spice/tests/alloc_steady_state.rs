@@ -2,11 +2,11 @@
 //! allocation-free.
 //!
 //! A counting global allocator wraps the system allocator; each scenario is
-//! run at a short and a 4× longer horizon on a pre-built [`TranWorkspace`]
-//! (serial) or [`BatchedSweep`] (K lanes). Every per-step heap allocation
-//! would multiply with the step count (thousands of extra steps), so
-//! asserting the two counts differ by at most a small constant proves the
-//! stepping loops only touch workspace buffers. The constant slack covers
+//! run at a short and a 4× longer horizon on a pre-built [`TranWorkspace`].
+//! Every per-step heap allocation would multiply with the step count
+//! (thousands of extra steps), so asserting the two counts differ by at
+//! most a small constant proves the stepping loop only touches workspace
+//! buffers. The constant slack covers
 //! once-per-run setup (result-trace `with_capacity` calls, the DC solve) —
 //! none of which scale with steps.
 //!
@@ -19,7 +19,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use sna_spice::devices::{MosPolarity, MosfetModel, SourceWaveform};
 use sna_spice::netlist::Circuit;
 use sna_spice::solver::SolverKind;
-use sna_spice::sweep::BatchedSweep;
 use sna_spice::tran::{transient_with, TranParams, TranWorkspace};
 use sna_spice::units::{NS, PS};
 
@@ -142,45 +141,14 @@ fn assert_fixed_step_alloc_free(ckt: &Circuit, kind: SolverKind, dt: f64, slack:
     let mut long_params = TranParams::new(1.6 * NS, dt);
     long_params.newton.solver = kind;
     // Warm-up: fills any lazily-created factor state.
-    transient_with(ckt, &short_params, &mut ws).unwrap();
-    let (short, _) = allocs(|| transient_with(ckt, &short_params, &mut ws));
-    let (long, _) = allocs(|| transient_with(ckt, &long_params, &mut ws));
+    transient_with(ckt, &short_params, &mut ws, &[]).unwrap();
+    let (short, _) = allocs(|| transient_with(ckt, &short_params, &mut ws, &[]));
+    let (long, _) = allocs(|| transient_with(ckt, &long_params, &mut ws, &[]));
     let extra_steps = (1.2 * NS / dt) as u64;
     assert!(
         long <= short + slack,
         "{kind:?}: {long} allocations at 4x horizon vs {short} at 1x \
          ({extra_steps} extra steps should be allocation-free)"
-    );
-}
-
-/// K-lane variants of a base circuit differing only in the noisy source's
-/// waveform (the only thing [`BatchedSweep`] allows to change per lane).
-fn lanes_of(base: &Circuit, source: &str, waves: &[SourceWaveform]) -> Vec<Circuit> {
-    waves
-        .iter()
-        .map(|w| {
-            let mut ckt = base.clone();
-            ckt.set_source_wave(source, w.clone()).unwrap();
-            ckt
-        })
-        .collect()
-}
-
-/// A sweep's lanes run the serial stepping loop, and the sweep must add no
-/// per-step allocation to it: a 4× horizon costs at most `slack` more
-/// allocations than 1×, across all K lanes.
-fn assert_batched_alloc_free(lanes: &[Circuit], kind: SolverKind, dt: f64, slack: u64) {
-    let mut sweep = BatchedSweep::new(lanes, kind).unwrap();
-    let mut short_params = TranParams::new(0.4 * NS, dt);
-    short_params.newton.solver = kind;
-    let mut long_params = TranParams::new(1.6 * NS, dt);
-    long_params.newton.solver = kind;
-    sweep.transient(lanes, &short_params).unwrap();
-    let (short, _) = allocs(|| sweep.transient(lanes, &short_params));
-    let (long, _) = allocs(|| sweep.transient(lanes, &long_params));
-    assert!(
-        long <= short + slack,
-        "{kind:?} batched: {long} allocations at 4x horizon vs {short} at 1x"
     );
 }
 
@@ -203,34 +171,4 @@ fn stepping_loops_do_not_allocate_per_step() {
         assert_fixed_step_alloc_free(&lin, kind, 2.0 * PS, 32);
         assert_fixed_step_alloc_free(&nl, kind, 1.0 * PS, 32);
     }
-    // Batched K-lane sweeps: same steady-state contract, K=4. The recording
-    // vectors are per lane, so the slack is proportionally wider; the
-    // stepping loops themselves must stay allocation-free.
-    let lin_lanes = lanes_of(
-        &lin,
-        "Vin",
-        &(0..4)
-            .map(|i| SourceWaveform::Ramp {
-                v0: 0.0,
-                v1: 0.3 * (i + 1) as f64,
-                t_start: 0.1 * NS,
-                t_rise: 100.0 * PS,
-            })
-            .collect::<Vec<_>>(),
-    );
-    let nl_lanes = lanes_of(
-        &nl,
-        "Vin",
-        &(0..4)
-            .map(|i| SourceWaveform::TriangleGlitch {
-                v_base: 1.2,
-                v_peak: 0.9 - 0.2 * i as f64,
-                t_start: 0.2 * NS,
-                t_rise: 150.0 * PS,
-                t_fall: 150.0 * PS,
-            })
-            .collect::<Vec<_>>(),
-    );
-    assert_batched_alloc_free(&lin_lanes, SolverKind::Sparse, 2.0 * PS, 256);
-    assert_batched_alloc_free(&nl_lanes, SolverKind::Dense, 1.0 * PS, 256);
 }

@@ -9,7 +9,6 @@ use sna_obs::{local_snapshot, Metric};
 use sna_spice::devices::{MosPolarity, MosfetModel, SourceWaveform};
 use sna_spice::netlist::Circuit;
 use sna_spice::solver::SolverKind;
-use sna_spice::sweep::BatchedSweep;
 use sna_spice::tran::{transient_with, TranParams, TranWorkspace};
 use sna_spice::units::{NS, PS};
 
@@ -104,7 +103,7 @@ fn inverter_glitch_counters_match_hand_check() {
     let mut params = TranParams::new(1.0 * NS, 1.0 * PS);
     params.newton.solver = SolverKind::Dense;
     let before = local_snapshot();
-    let res = transient_with(&ckt, &params, &mut ws).unwrap();
+    let res = transient_with(&ckt, &params, &mut ws, &[]).unwrap();
     let d = local_snapshot().since(&before);
     let steps = (1.0 * NS / (1.0 * PS)).round() as u64;
 
@@ -147,7 +146,7 @@ fn linear_ladder_counters_match_hand_check() {
     let mut params = TranParams::new(1.0 * NS, 2.0 * PS);
     params.newton.solver = SolverKind::Dense;
     let before = local_snapshot();
-    let res = transient_with(&ckt, &params, &mut ws).unwrap();
+    let res = transient_with(&ckt, &params, &mut ws, &[]).unwrap();
     let d = local_snapshot().since(&before);
     let steps = (1.0 * NS / (2.0 * PS)).round() as u64;
 
@@ -162,56 +161,4 @@ fn linear_ladder_counters_match_hand_check() {
     assert_eq!(d.get(Metric::SolverFactorsDense), 1);
     assert_eq!(d.get(Metric::SolverRefactorsDense), 1);
     assert_eq!(d.get(Metric::SolverSolves), steps + 1);
-}
-
-/// K-lane sweep: each lane is a serial workspace, so every lane counts
-/// exactly what the serial linear-ladder hand check counts, in the `dc`,
-/// `tran` and `solver` counters; the sweep itself counts one call of four
-/// lanes, and its three per-lane work counters, which no code sets, read 0.
-#[test]
-fn batched_sweep_counters_match_hand_check() {
-    let base = ladder(16);
-    let lanes: Vec<Circuit> = (0..4)
-        .map(|i| {
-            let mut ckt = base.clone();
-            ckt.set_source_wave(
-                "Vin",
-                SourceWaveform::Ramp {
-                    v0: 0.0,
-                    v1: 0.3 * (i + 1) as f64,
-                    t_start: 0.1 * NS,
-                    t_rise: 100.0 * PS,
-                },
-            )
-            .unwrap();
-            ckt
-        })
-        .collect();
-    let mut sweep = BatchedSweep::new(&lanes, SolverKind::Dense).unwrap();
-    let mut params = TranParams::new(1.0 * NS, 2.0 * PS);
-    params.newton.solver = SolverKind::Dense;
-    let before = local_snapshot();
-    sweep.transient(&lanes, &params).unwrap();
-    let d = local_snapshot().since(&before);
-    let steps = (1.0 * NS / (2.0 * PS)).round() as u64;
-
-    assert_eq!(d.get(Metric::SweepCalls), 1);
-    assert_eq!(d.get(Metric::SweepLanes), 4);
-    assert_eq!(d.get(Metric::SweepSteps), 0);
-    assert_eq!(d.get(Metric::SweepLaneNewtonIterations), 0);
-    assert_eq!(d.get(Metric::SweepSerialFallbacks), 0);
-    // Per lane: one transient with its DC initial condition, a single
-    // direct solve (linear).
-    assert_eq!(d.get(Metric::TranCalls), 4);
-    assert_eq!(d.get(Metric::TranSteps), 4 * steps);
-    assert_eq!(d.get(Metric::TranNewtonIterations), 0);
-    assert_eq!(d.get(Metric::DcSolves), 4);
-    assert_eq!(d.get(Metric::DcNewtonIterations), 4);
-    // Per lane: the cold DC factor, the transient base refactor, and one
-    // solve per step plus the DC solve. The workspaces were built before
-    // the snapshot, so no solver selection is counted.
-    assert_eq!(d.get(Metric::SolverDenseSelected), 0);
-    assert_eq!(d.get(Metric::SolverFactorsDense), 4);
-    assert_eq!(d.get(Metric::SolverRefactorsDense), 4);
-    assert_eq!(d.get(Metric::SolverSolves), 4 * (steps + 1));
 }
