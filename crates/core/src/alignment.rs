@@ -45,6 +45,14 @@ pub struct AlignmentResult {
 /// `window` is the half-width (s) of the timing interval searched around
 /// each event's nominal time.
 ///
+/// Each coordinate costs 17 engine runs: 7 grid probes and 10
+/// golden-section probes. The coordinate ends on a timing vector it has
+/// just probed, so its peak carries into the next coordinate without a
+/// re-run (only a coordinate whose negative nominal time the `t ≥ 0` clamp
+/// moves, with no probe beating it, is re-evaluated). With one run at the
+/// start and one at the end for the returned waveforms, that is
+/// `2 + 34·n_coords` evaluations.
+///
 /// # Errors
 ///
 /// Propagates engine failures.
@@ -58,15 +66,14 @@ pub fn worst_case_alignment(model: &ClusterMacromodel, window: f64) -> Result<Al
         .collect();
     let mut glitch_peak = model.spec.victim.glitch.map(|g| g.t_peak);
     let mut evaluations = 0usize;
-    let eval = |st: &[f64],
-                gp: Option<f64>,
-                evals: &mut usize|
-     -> Result<(GlitchMetrics, NoiseWaveforms)> {
+    let eval_peak = |st: &[f64], gp: Option<f64>, evals: &mut usize| -> Result<f64> {
         *evals += 1;
         let waves = simulate_macromodel(&model.with_timing(st, gp))?;
-        Ok((waves.dp_metrics(model.q_out), waves))
+        Ok(waves.dp_metrics(model.q_out).peak)
     };
-    let (mut best, mut best_waves) = eval(&switch_times, glitch_peak, &mut evaluations)?;
+    // Peak at the current timing vector, carried from coordinate to
+    // coordinate: each coordinate ends on a timing that was just probed.
+    let mut best = eval_peak(&switch_times, glitch_peak, &mut evaluations)?;
     // Coordinates: aggressors 0..n_agg, then (optionally) the glitch.
     let n_coords = n_agg + usize::from(glitch_peak.is_some());
     for _sweep in 0..2 {
@@ -85,18 +92,20 @@ pub fn worst_case_alignment(model: &ClusterMacromodel, window: f64) -> Result<Al
                 } else {
                     (switch_times.clone(), Some(t))
                 };
-                Ok(eval(&st, gp, evals)?.0.peak)
+                eval_peak(&st, gp, evals)
             };
             // Coarse grid.
             let grid = 7;
             let mut best_t = nominal;
-            let mut best_peak = best.peak;
+            let mut best_peak = best;
+            let mut moved = false;
             for i in 0..grid {
                 let t = nominal - window + 2.0 * window * i as f64 / (grid - 1) as f64;
                 let peak = probe(t, &mut evaluations)?;
                 if peak > best_peak {
                     best_peak = peak;
                     best_t = t;
+                    moved = true;
                 }
             }
             // Golden-section refinement around the best grid point.
@@ -122,24 +131,35 @@ pub fn worst_case_alignment(model: &ClusterMacromodel, window: f64) -> Result<Al
                     f2 = probe(x2, &mut evaluations)?;
                 }
             }
-            let t_opt = if f1 > f2 { x1 } else { x2 };
+            let (t_opt, f_opt) = if f1 > f2 { (x1, f1) } else { (x2, f2) };
             if f1.max(f2) > best_peak {
                 best_t = t_opt;
+                best_peak = f_opt;
+                moved = true;
             }
+            let t_new = best_t.max(0.0);
             if coord < n_agg {
-                switch_times[coord] = best_t.max(0.0);
+                switch_times[coord] = t_new;
             } else {
-                glitch_peak = Some(best_t.max(0.0));
+                glitch_peak = Some(t_new);
             }
-            (best, best_waves) = eval(&switch_times, glitch_peak, &mut evaluations)?;
+            // A winning probe ran at `best_t.max(0.0)`, the new timing, so
+            // its peak carries over; so does the old one when no probe won
+            // and the clamp leaves the timing as it was.
+            if !moved && t_new.to_bits() != nominal.to_bits() {
+                best_peak = eval_peak(&switch_times, glitch_peak, &mut evaluations)?;
+            }
+            best = best_peak;
         }
     }
+    evaluations += 1;
+    let waveforms = simulate_macromodel(&model.with_timing(&switch_times, glitch_peak))?;
     Ok(AlignmentResult {
         switch_times,
         glitch_peak_time: glitch_peak,
-        dp_metrics: best,
+        dp_metrics: waveforms.dp_metrics(model.q_out),
         evaluations,
-        waveforms: best_waves,
+        waveforms,
     })
 }
 
@@ -184,7 +204,8 @@ mod tests {
             nominal.peak,
             res.dp_metrics.peak
         );
-        assert!(res.evaluations > 10);
+        // One aggressor and the glitch: two coordinates.
+        assert_eq!(res.evaluations, 2 + 34 * 2);
         // The worst case brings the two events together — either the glitch
         // moved earlier or the aggressor moved later (both are valid).
         let gp = res.glitch_peak_time.unwrap();

@@ -13,7 +13,7 @@ use sna_obs::{count, phase_span, Metric, Phase};
 
 use crate::error::{Error, Result};
 use crate::mna::MnaSystem;
-use crate::netlist::{Circuit, Element, NodeId};
+use crate::netlist::{Circuit, NodeId};
 use crate::solver::{SolverKind, SystemSolver};
 
 /// Newton iteration controls shared by DC and transient analyses.
@@ -311,23 +311,6 @@ pub fn dc_input_conductance(circuit: &Circuit, node: NodeId, opts: &NewtonOption
         ));
     }
     Ok(i_probe / dv)
-}
-
-/// Measured element current in a DC solution (voltage sources only).
-///
-/// Convenience wrapper used by characterization: the drain current of a
-/// device under test is read as the branch current of the source that
-/// holds its drain.
-pub fn vsource_current(circuit: &Circuit, sol: &DcSolution, name: &str) -> Result<f64> {
-    let _ = circuit;
-    sol.vsource_current(name)
-        .ok_or_else(|| Error::InvalidCircuit(format!("no voltage source named {name}")))
-}
-
-/// Element enum re-export check helper (internal).
-#[allow(dead_code)]
-fn _assert_element_shape(e: &Element) -> &str {
-    e.name()
 }
 
 #[cfg(test)]
