@@ -176,7 +176,7 @@ pub fn characterize_propagated_noise_with(
                 t_fall: 0.5 * w,
             };
             fx.ckt.set_source_wave(&fx.noisy_source, glitch)?;
-            let res = transient_with(&fx.ckt, &params, &mut ws, &[])?;
+            let res = transient_with(&fx.ckt, &params, &mut ws, &[], None)?;
             let wave = res.node_waveform(fx.out);
             let m = wave.glitch_metrics(mode.output_level);
             let idx = hi * widths.len() + wi;

@@ -14,13 +14,23 @@
 //!   scalar delays: after seeding `R_TH` from a two-load delay fit, ramp
 //!   time and resistance are refined by coordinate descent on the L2
 //!   waveform error of the replayed Thevenin response.
+//!
+//! The fit reads each of its transients only up to a known sample, so each
+//! run stops right after it ([`transient_with`]'s early-stop predicate):
+//! the reference run once its 20/50/80 % crossings are seen and
+//! `t > t50 + 3·slew + dt`, the two lumped-load delay runs at their 50 %
+//! crossing, each replay once `t > t50 + 3·slew + dt`. The stop rules use
+//! the same first-crossing test as the measurements, and integration is
+//! causal, so every sample the fit reads — and with it the fitted driver —
+//! is bit-identical to a full-horizon run. The horizons stay as upper
+//! bounds: a run that never crosses fails as it always did.
 
 use serde::{Deserialize, Serialize};
 use sna_spice::dc::NewtonOptions;
 use sna_spice::devices::SourceWaveform;
 use sna_spice::error::{Error, Result};
 use sna_spice::netlist::{Circuit, NodeId};
-use sna_spice::tran::{transient, TranParams};
+use sna_spice::tran::{transient_with, NodeVoltages, TranParams, TranWorkspace};
 use sna_spice::waveform::Waveform;
 
 use crate::cell::Cell;
@@ -110,38 +120,93 @@ impl TheveninDriver {
     }
 }
 
+/// First crossing of `level` in the transition direction, found one sample
+/// at a time. It is the one test behind [`crossing_time`] and the fit's
+/// stop rules, so a stopped run and the full waveform agree on every
+/// crossing the stopped run contains.
+struct FirstCrossing {
+    level: f64,
+    rising: bool,
+    prev: Option<(f64, f64)>,
+    at: Option<f64>,
+}
+
+impl FirstCrossing {
+    fn new(level: f64, rising: bool) -> Self {
+        Self {
+            level,
+            rising,
+            prev: None,
+            at: None,
+        }
+    }
+
+    /// Feed the next sample; returns the crossing time, linearly
+    /// interpolated, once it has been seen.
+    fn push(&mut self, t: f64, v: f64) -> Option<f64> {
+        if self.at.is_none() {
+            if let Some((t0, a)) = self.prev {
+                let level = self.level;
+                let hit = if self.rising {
+                    a < level && v >= level
+                } else {
+                    a > level && v <= level
+                };
+                if hit {
+                    let f = (level - a) / (v - a);
+                    self.at = Some(t0 + f * (t - t0));
+                }
+            }
+            self.prev = Some((t, v));
+        }
+        self.at
+    }
+}
+
 /// Crossing time of `w` through `level` (first crossing in the transition
 /// direction), linearly interpolated.
 fn crossing_time(w: &Waveform, level: f64, rising: bool) -> Option<f64> {
-    let ts = w.times();
-    let vs = w.values();
-    for k in 1..ts.len() {
-        let (a, b) = (vs[k - 1], vs[k]);
-        let hit = if rising {
-            a < level && b >= level
-        } else {
-            a > level && b <= level
-        };
-        if hit {
-            let f = (level - a) / (b - a);
-            return Some(ts[k - 1] + f * (ts[k] - ts[k - 1]));
-        }
-    }
-    None
+    let mut c = FirstCrossing::new(level, rising);
+    w.times()
+        .iter()
+        .zip(w.values())
+        .find_map(|(&t, &v)| c.push(t, v))
 }
 
 /// Input-ramp onset used inside characterization runs; fitted EMF times are
 /// reported relative to this instant.
 const T_INPUT_ONSET: f64 = 200e-12;
 
+/// Time step of every fit transient (s).
+const FIT_DT: f64 = 1e-12;
+
+/// Run a fit transient on a fresh workspace and return the waveform of
+/// `node`, ending early once `stop` (given `t` and that node's voltage)
+/// returns `true`.
+fn simulate_node(
+    ckt: &Circuit,
+    node: NodeId,
+    horizon: f64,
+    newton: &NewtonOptions,
+    stop: &mut dyn FnMut(f64, f64) -> bool,
+) -> Result<Waveform> {
+    let mut params = TranParams::new(horizon, FIT_DT);
+    params.newton = *newton;
+    let mut ws = TranWorkspace::new(ckt, newton.solver)?;
+    let mut stop_at_node = |t: f64, v: NodeVoltages<'_>| stop(t, v.get(node));
+    let res = transient_with(ckt, &params, &mut ws, &[], Some(&mut stop_at_node))?;
+    Ok(res.node_waveform(node))
+}
+
 /// Simulate the transistor driver into `load`, returning the driving-point
-/// waveform.
+/// waveform up to where `stop` (given `t` and the output voltage) ends it.
 fn simulate_driver(
     cell: &Cell,
     rising: bool,
     input_slew: f64,
     load: &TheveninLoad,
     newton: &NewtonOptions,
+    stop: &mut dyn FnMut(f64, f64) -> bool,
 ) -> Result<Waveform> {
     let vdd_v = cell.tech.vdd;
     // For an inverting cell the input falls to make the output rise.
@@ -173,10 +238,7 @@ fn simulate_driver(
     cell.instantiate(&mut ckt, "drv", &inputs, out, vdd)?;
     load.attach(&mut ckt, out)?;
     let horizon = t_start + input_slew + 4e-9;
-    let mut params = TranParams::new(horizon, 1e-12);
-    params.newton = *newton;
-    let res = transient(&ckt, &params)?;
-    Ok(res.node_waveform(out))
+    simulate_node(&ckt, out, horizon, newton, stop)
 }
 
 /// Characterize a Thevenin driver for `cell` making a `rising`/falling
@@ -219,25 +281,45 @@ pub fn characterize_thevenin_with(
     load: &TheveninLoad,
     opts: &CharacterizeOptions,
 ) -> Result<TheveninDriver> {
+    fit_thevenin(cell, rising, input_slew, load, opts, true)
+}
+
+/// The fit behind [`characterize_thevenin_with`]. With `early_stop` false
+/// every transient runs to its full horizon: the oracle the stop rules are
+/// checked against.
+fn fit_thevenin(
+    cell: &Cell,
+    rising: bool,
+    input_slew: f64,
+    load: &TheveninLoad,
+    opts: &CharacterizeOptions,
+    early_stop: bool,
+) -> Result<TheveninDriver> {
     let newton = &opts.newton;
     let vdd = cell.tech.vdd;
     let half = 0.5 * vdd;
-    // Reference: the driver's DP waveform on the real (Π) load.
-    let w_ref = simulate_driver(cell, rising, input_slew, load, newton)?;
+    let (lo_lvl, hi_lvl) = (0.2 * vdd, 0.8 * vdd);
+    // The 20-80 % slew runs from the first to the second of these levels.
+    let (first_lvl, second_lvl) = if rising {
+        (lo_lvl, hi_lvl)
+    } else {
+        (hi_lvl, lo_lvl)
+    };
+    // Reference: the driver's DP waveform on the real (Π) load. The fit
+    // reads it up to t50 + 3·slew (the L2 window below).
+    let mut ref_crossings = [half, first_lvl, second_lvl].map(|l| FirstCrossing::new(l, rising));
+    let w_ref = simulate_driver(cell, rising, input_slew, load, newton, &mut |t, v| {
+        let [t50, ta, tb] = ref_crossings.each_mut().map(|c| c.push(t, v));
+        early_stop
+            && matches!((t50, ta, tb), (Some(t50), Some(ta), Some(tb))
+                if t > t50 + 3.0 * (tb - ta) + FIT_DT)
+    })?;
     let t50_ref = crossing_time(&w_ref, half, rising)
         .ok_or_else(|| Error::InvalidAnalysis("driver output never crossed 50%".into()))?;
-    let (lo_lvl, hi_lvl) = (0.2 * vdd, 0.8 * vdd);
-    let (ta, tb) = if rising {
-        (
-            crossing_time(&w_ref, lo_lvl, true),
-            crossing_time(&w_ref, hi_lvl, true),
-        )
-    } else {
-        (
-            crossing_time(&w_ref, hi_lvl, false),
-            crossing_time(&w_ref, lo_lvl, false),
-        )
-    };
+    let (ta, tb) = (
+        crossing_time(&w_ref, first_lvl, rising),
+        crossing_time(&w_ref, second_lvl, rising),
+    );
     let slew_2080 = match (ta, tb) {
         (Some(a), Some(b)) if b > a => b - a,
         _ => {
@@ -249,8 +331,20 @@ pub fn characterize_thevenin_with(
     // R_TH seed from a classic two-lumped-load delay fit.
     let c1 = load.total_cap().max(1e-15);
     let c2 = 2.0 * c1 + 5e-15;
-    let w_l1 = simulate_driver(cell, rising, input_slew, &TheveninLoad::Lumped(c1), newton)?;
-    let w_l2 = simulate_driver(cell, rising, input_slew, &TheveninLoad::Lumped(c2), newton)?;
+    // The delay runs are read only up to their 50 % crossing.
+    let delay_run = |c: f64| {
+        let mut c50 = FirstCrossing::new(half, rising);
+        simulate_driver(
+            cell,
+            rising,
+            input_slew,
+            &TheveninLoad::Lumped(c),
+            newton,
+            &mut |t, v| early_stop && c50.push(t, v).is_some(),
+        )
+    };
+    let w_l1 = delay_run(c1)?;
+    let w_l2 = delay_run(c2)?;
     let t50_l1 = crossing_time(&w_l1, half, rising)
         .ok_or_else(|| Error::InvalidAnalysis("driver output never crossed 50%".into()))?;
     let t50_l2 = crossing_time(&w_l2, half, rising).ok_or_else(|| {
@@ -281,10 +375,14 @@ pub fn characterize_thevenin_with(
         ckt.add_resistor("Rth", e, o, rth)?;
         load.attach(&mut ckt, o)?;
         let horizon = T_REPLAY_ONSET + t_rise + 12.0 * rth * load.total_cap() + 2e-9;
-        let mut params = TranParams::new(horizon, 1e-12);
-        params.newton = *newton;
-        let res = transient(&ckt, &params)?;
-        let wfit = res.node_waveform(o);
+        // Scored below up to t50_fit + 3·slew.
+        let mut c50 = FirstCrossing::new(half, rising);
+        let wfit = simulate_node(&ckt, o, horizon, newton, &mut |t, v| {
+            early_stop
+                && c50
+                    .push(t, v)
+                    .is_some_and(|t50| t > t50 + 3.0 * slew_2080 + FIT_DT)
+        })?;
         let t50_fit = crossing_time(&wfit, half, rising)
             .ok_or_else(|| Error::InvalidAnalysis("thevenin fit never crossed 50%".into()))?;
         // Shift the replayed response so its 50% crossing lands on the
@@ -362,8 +460,9 @@ pub fn characterize_thevenin_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cell::Cell;
+    use crate::cell::{Cell, CellType};
     use crate::tech::Technology;
+    use sna_spice::tran::transient;
     use sna_spice::units::{FF, PS};
 
     #[test]
@@ -374,8 +473,9 @@ mod tests {
         let th = characterize_thevenin(&cell, true, 50.0 * PS, &load).unwrap();
         assert!(th.rth > 20.0 && th.rth < 5e3, "rth={}", th.rth);
         // Replay both models into the same load and compare waveforms.
+        let newton = NewtonOptions::default();
         let gold =
-            simulate_driver(&cell, true, 50.0 * PS, &load, &NewtonOptions::default()).unwrap();
+            simulate_driver(&cell, true, 50.0 * PS, &load, &newton, &mut |_, _| false).unwrap();
         let mut ckt = Circuit::new();
         let e = ckt.node("emf");
         let o = ckt.node("out");
@@ -459,6 +559,89 @@ mod tests {
             .unwrap();
         let sh = th.shifted(100.0 * PS);
         assert!((sh.t50() - th.t50() - 100.0 * PS).abs() < 1e-15);
+    }
+
+    /// The early-stop fit and the full-horizon oracle agree bit for bit,
+    /// errors included: `Debug` prints every `f64` in its shortest
+    /// round-trip form, so equal strings are equal bits.
+    fn assert_fit_matches_oracle(cell: &Cell, rising: bool, slew: f64, load: &TheveninLoad) {
+        let opts = CharacterizeOptions::default();
+        let fit = fit_thevenin(cell, rising, slew, load, &opts, true);
+        let oracle = fit_thevenin(cell, rising, slew, load, &opts, false);
+        let what = format!(
+            "{} {:?} x{} rising={rising} slew={slew:e} {load:?}",
+            cell.tech.name, cell.cell_type, cell.strength
+        );
+        assert_eq!(format!("{fit:?}"), format!("{oracle:?}"), "{what}");
+        if let (Ok(a), Ok(b)) = (&fit, &oracle) {
+            assert_eq!(a.rth.to_bits(), b.rth.to_bits(), "{what}");
+        }
+    }
+
+    #[test]
+    fn early_stop_fit_equals_full_horizon_oracle() {
+        let t = Technology::cmos130();
+        let cells = [
+            Cell::inv(t.clone(), 2.0),
+            Cell::nand2(t.clone(), 1.0),
+            Cell::nor2(t, 1.0),
+        ];
+        let loads = [
+            TheveninLoad::Lumped(40.0 * FF),
+            TheveninLoad::Pi {
+                c_near: 20.0 * FF,
+                r: 200.0,
+                c_far: 40.0 * FF,
+            },
+        ];
+        for cell in &cells {
+            for rising in [true, false] {
+                for load in &loads {
+                    assert_fit_matches_oracle(cell, rising, 60.0 * PS, load);
+                }
+            }
+        }
+    }
+
+    /// The characterization oracle gate: 2 techs × 6 cells × 2 edges ×
+    /// 3 slews × 4 loads, 288 fits each checked against the full-horizon
+    /// oracle.
+    #[test]
+    #[ignore = "288 fits against the oracle, about 8 s in release; run with --ignored"]
+    fn early_stop_fit_equals_full_horizon_oracle_on_full_grid() {
+        let loads = [
+            TheveninLoad::Lumped(10.0 * FF),
+            TheveninLoad::Lumped(120.0 * FF),
+            TheveninLoad::Pi {
+                c_near: 15.0 * FF,
+                r: 80.0,
+                c_far: 25.0 * FF,
+            },
+            TheveninLoad::Pi {
+                c_near: 30.0 * FF,
+                r: 600.0,
+                c_far: 90.0 * FF,
+            },
+        ];
+        for tech in [Technology::cmos130(), Technology::cmos90()] {
+            let cells = [
+                Cell::inv(tech.clone(), 1.0),
+                Cell::inv(tech.clone(), 4.0),
+                Cell::new(CellType::Buf, tech.clone(), 2.0),
+                Cell::nand2(tech.clone(), 2.0),
+                Cell::nor2(tech.clone(), 2.0),
+                Cell::new(CellType::Aoi21, tech, 1.0),
+            ];
+            for cell in &cells {
+                for rising in [true, false] {
+                    for slew in [30.0 * PS, 80.0 * PS, 200.0 * PS] {
+                        for load in &loads {
+                            assert_fit_matches_oracle(cell, rising, slew, load);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

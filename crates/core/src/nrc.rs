@@ -11,6 +11,11 @@
 //! half-rail (a momentary logic upset). Narrow glitches are filtered by the
 //! receiver's own dynamics, so the failure height rises as width shrinks —
 //! the classic L-shaped rejection curve.
+//!
+//! A probe asks only whether the output crossed half-rail, so a failing
+//! probe stops at its first sample past half-rail; a passing one runs its
+//! full horizon. The verdict, and with it every fail height, is the one
+//! the full-horizon run gives.
 
 use serde::{Deserialize, Serialize};
 use sna_cells::characterize::driver_fixture;
@@ -20,7 +25,7 @@ use sna_spice::devices::SourceWaveform;
 use sna_spice::error::{Error, Result};
 use sna_spice::netlist::Circuit;
 use sna_spice::solver::SolverKind;
-use sna_spice::tran::{transient_with, TranParams, TranWorkspace};
+use sna_spice::tran::{transient_with, NodeVoltages, TranParams, TranWorkspace};
 use sna_spice::waveform::GlitchMetrics;
 
 /// A characterized noise rejection curve for one receiver cell and input
@@ -95,6 +100,19 @@ pub fn characterize_nrc_with(
     widths: &[f64],
     solver: SolverKind,
 ) -> Result<NoiseRejectionCurve> {
+    bisect_nrc(receiver, input_low, widths, solver, true)
+}
+
+/// The bisection behind [`characterize_nrc_with`]. With `early_stop` false
+/// every probe runs to its full horizon: the oracle the stop rule is
+/// checked against.
+fn bisect_nrc(
+    receiver: &Cell,
+    input_low: bool,
+    widths: &[f64],
+    solver: SolverKind,
+    early_stop: bool,
+) -> Result<NoiseRejectionCurve> {
     if widths.len() < 2 {
         return Err(Error::InvalidAnalysis("NRC needs at least 2 widths".into()));
     }
@@ -145,14 +163,11 @@ pub fn characterize_nrc_with(
             let dt = (w / 150.0).clamp(0.5e-12, 2e-12);
             let mut params = TranParams::new(horizon, dt);
             params.newton.solver = solver;
-            let res = transient_with(&fx.ckt, &params, ws, &[])?;
+            let past_half = |v: f64| if q_out > half { v < half } else { v > half };
+            let mut stop = |_, v: NodeVoltages<'_>| early_stop && past_half(v.get(fx.out));
+            let res = transient_with(&fx.ckt, &params, ws, &[], Some(&mut stop))?;
             let out = res.node_waveform(fx.out);
-            let crossed = if q_out > half {
-                out.min_value() < half
-            } else {
-                out.max_value() > half
-            };
-            Ok(crossed)
+            Ok(out.values().iter().any(|&v| past_half(v)))
         };
         // Bisection over height.
         let mut lo = 0.05 * vdd;
@@ -182,7 +197,7 @@ pub fn characterize_nrc_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sna_cells::Technology;
+    use sna_cells::{CellType, Technology};
     use sna_spice::units::PS;
 
     fn inv_nrc() -> NoiseRejectionCurve {
@@ -232,6 +247,59 @@ mod tests {
             nrc.threshold(1e-6),
             nrc.fail_heights[nrc.fail_heights.len() - 1]
         );
+    }
+
+    /// Early-stopped probes give the full-horizon oracle's fail heights
+    /// bit for bit.
+    fn assert_nrc_matches_oracle(receiver: &Cell, input_low: bool, widths: &[f64]) {
+        let nrc = characterize_nrc(receiver, input_low, widths).unwrap();
+        let oracle = bisect_nrc(receiver, input_low, widths, SolverKind::Auto, false).unwrap();
+        let bits = |c: &NoiseRejectionCurve| c.fail_heights.iter().map(|h| h.to_bits()).collect();
+        let (got, want): (Vec<u64>, Vec<u64>) = (bits(&nrc), bits(&oracle));
+        assert_eq!(
+            got,
+            want,
+            "{} {:?} x{} input_low={input_low}: {:?} vs {:?}",
+            receiver.tech.name,
+            receiver.cell_type,
+            receiver.strength,
+            nrc.fail_heights,
+            oracle.fail_heights
+        );
+    }
+
+    #[test]
+    fn early_stop_fail_heights_equal_full_horizon_oracle() {
+        let t = Technology::cmos130();
+        for receiver in [Cell::inv(t.clone(), 1.0), Cell::nand2(t, 1.0)] {
+            for input_low in [true, false] {
+                assert_nrc_matches_oracle(&receiver, input_low, &[100.0 * PS, 400.0 * PS]);
+            }
+        }
+    }
+
+    /// The NRC half of the characterization oracle gate: every receiver
+    /// type of both technologies, both input polarities, the flow's five
+    /// NRC widths.
+    #[test]
+    #[ignore = "24 curves against the oracle, about 5 s in release; run with --ignored"]
+    fn early_stop_fail_heights_equal_oracle_on_full_grid() {
+        let widths = [100.0, 200.0, 400.0, 800.0, 1600.0].map(|w| w * PS);
+        for tech in [Technology::cmos130(), Technology::cmos90()] {
+            let receivers = [
+                Cell::inv(tech.clone(), 1.0),
+                Cell::inv(tech.clone(), 2.0),
+                Cell::new(CellType::Buf, tech.clone(), 1.0),
+                Cell::nand2(tech.clone(), 1.0),
+                Cell::nor2(tech.clone(), 1.0),
+                Cell::new(CellType::Aoi21, tech, 1.0),
+            ];
+            for receiver in &receivers {
+                for input_low in [true, false] {
+                    assert_nrc_matches_oracle(receiver, input_low, &widths);
+                }
+            }
+        }
     }
 
     #[test]

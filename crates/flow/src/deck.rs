@@ -238,7 +238,7 @@ fn analyze_case(parsed: &ParsedDeck, card: &SnaCard, opts: &DeckOptions) -> Resu
     let ics = parsed.resolve_ics();
     let run = |ckt: &Circuit| {
         let mut ws = TranWorkspace::new(ckt, tran.newton.solver)?;
-        transient_with(ckt, tran, &mut ws, &ics).map(|r| r.node_waveform(victim))
+        transient_with(ckt, tran, &mut ws, &ics, None).map(|r| r.node_waveform(victim))
     };
     let noisy = run(&noisy)?;
     let still = run(&quiet)?;

@@ -17,7 +17,8 @@
 //!   (`glitch_height`/`glitch_width`, per-aggressor `strength` /
 //!   `input_slew` / `switch_time` / `rising` / `receiver_cap` via
 //!   `"aggressor":<idx>`, or `drop_aggressor`); the next `analyze`
-//!   re-runs just that cluster,
+//!   re-runs just that cluster. An `input_slew` longer than the
+//!   cluster's `t_stop` is refused,
 //! * `{"cmd":"guard_band","value":0.05}` — change the NRC guard band
 //!   (re-analyzes everything: verdicts depend on it),
 //! * `{"cmd":"stats"}` — session counters and cache statistics,
@@ -653,6 +654,16 @@ impl ServeState {
                                 let tech = spec.aggressors[k].cell.tech.clone();
                                 spec.aggressors[k].cell = Cell::inv(tech, v);
                             }
+                            // The Thevenin fit steps the driver through the
+                            // whole input ramp, so a slew beyond the window
+                            // would ask for unbounded work.
+                            "input_slew" if v > spec.t_stop => {
+                                return err_json(&format!(
+                                    "'input_slew' {v:e} s exceeds the cluster's \
+                                     simulation window t_stop = {:e} s",
+                                    spec.t_stop
+                                ));
+                            }
                             "input_slew" => spec.aggressors[k].input_slew = v,
                             "switch_time" => spec.aggressors[k].switch_time = v,
                             "receiver_cap" => spec.aggressors[k].receiver_cap = v,
@@ -1088,5 +1099,30 @@ mod tests {
         let r = s.handle_line(r#"{"cmd": "shutdown"}"#);
         assert!(r.contains("\"shutdown\": true"), "{r}");
         assert!(s.done());
+    }
+
+    /// An input slew longer than the cluster's window would make the next
+    /// Thevenin fit step its driver transient through it at 1 ps (1e-3 s
+    /// is about 1e9 steps, 1e300 s overflows the step count): the edit is
+    /// refused in band and the design stays as it was.
+    #[test]
+    fn input_slew_beyond_the_window_is_refused() {
+        let mut s = session(1);
+        let before = format!("{:?}", s.design.clusters[0].spec);
+        let t_stop = s.design.clusters[0].spec.t_stop;
+        for slew in [1e-3, 1e300, 1.000001 * t_stop] {
+            let r = s.handle_line(&format!(
+                r#"{{"cmd": "edit", "cluster": "net000", "aggressor": 0, "input_slew": {slew:e}}}"#
+            ));
+            assert!(r.contains("\"ok\": false"), "{slew:e} -> {r}");
+            assert!(r.contains("exceeds the cluster's simulation window"), "{r}");
+            assert_eq!(format!("{:?}", s.design.clusters[0].spec), before);
+        }
+        // The window itself is still a legal (if slow) slew.
+        let r = s.handle_line(&format!(
+            r#"{{"cmd": "edit", "cluster": "net000", "aggressor": 0, "input_slew": {t_stop:e}}}"#
+        ));
+        assert!(r.contains("\"ok\": true"), "{r}");
+        assert_eq!(s.design.clusters[0].spec.aggressors[0].input_slew, t_stop);
     }
 }

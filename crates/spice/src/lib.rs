@@ -18,7 +18,8 @@
 //!   [`tran::TranWorkspace`], the one reuse unit: characterization grids
 //!   run every DC point and transient of a circuit on one workspace,
 //!   changing only source waveforms between runs (bit-exact on the dense
-//!   path).
+//!   path); an early-stop predicate ends a run at the first sample it
+//!   accepts.
 //! * [`devices`] — source waveforms, the smoothed Shichman–Hodges MOSFET,
 //!   and the bilinear [`devices::Table2d`] behind the paper's Eq. (1).
 //! * [`waveform`] — sampled waveforms and glitch metrics (peak/width/area).
@@ -84,7 +85,10 @@ pub mod prelude {
     };
     pub use crate::solver::{SolverKind, SystemSolver, SPARSE_AUTO_THRESHOLD};
     pub use crate::sparse::{SparseLu, SparseMatrix, Symbolic};
-    pub use crate::tran::{transient, transient_with, TranParams, TranResult, TranWorkspace};
+    pub use crate::tran::{
+        transient, transient_with, NodeVoltages, StopPredicate, TranParams, TranResult,
+        TranWorkspace,
+    };
     pub use crate::units::*;
     pub use crate::waveform::{GlitchError, GlitchMetrics, Waveform};
 }

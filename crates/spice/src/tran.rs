@@ -14,7 +14,9 @@
 //! reused workspace gives the fresh analysis bit for bit, because every
 //! dense refactor redoes its pivot search. [`transient_with`] is the only
 //! stepping loop in the crate; deck mode's `.IC` overrides reach it as an
-//! argument.
+//! argument, and so does an early-stop predicate for callers that read
+//! only a prefix of the waveform. Integration is causal, so a stopped run
+//! is the prefix of the full run, bit for bit.
 
 use serde::{Deserialize, Serialize};
 use sna_obs::{count, phase_span, Metric, Phase};
@@ -121,6 +123,26 @@ impl TranResult {
         )
     }
 }
+
+/// Node voltages of one recorded sample, as an early-stop predicate of
+/// [`transient_with`] sees them.
+#[derive(Debug, Clone, Copy)]
+pub struct NodeVoltages<'a>(&'a [f64]);
+
+impl NodeVoltages<'_> {
+    /// Voltage of `node` (0 for ground).
+    pub fn get(&self, node: NodeId) -> f64 {
+        if node.is_ground() {
+            0.0
+        } else {
+            self.0[node.index() - 1]
+        }
+    }
+}
+
+/// Early-stop predicate of [`transient_with`]: given a recorded sample's
+/// time and node voltages, `true` ends the run at that sample.
+pub type StopPredicate<'a> = &'a mut dyn FnMut(f64, NodeVoltages<'_>) -> bool;
 
 /// Reusable per-circuit analysis state: the assembled [`MnaSystem`], the
 /// (dense or sparse) [`SystemSolver`] with its symbolic analysis, and every
@@ -377,11 +399,12 @@ impl TranWorkspace {
 /// non-convergence at some time step, or a singular system matrix.
 pub fn transient(circuit: &Circuit, params: &TranParams) -> Result<TranResult> {
     let mut ws = TranWorkspace::new(circuit, params.newton.solver)?;
-    transient_with(circuit, params, &mut ws, &[])
+    transient_with(circuit, params, &mut ws, &[], None)
 }
 
 /// [`transient`] on a caller-owned [`TranWorkspace`] (same circuit; source
-/// waveforms may differ between calls), with `.IC` overrides.
+/// waveforms may differ between calls), with `.IC` overrides and an
+/// optional early stop.
 ///
 /// `ics` are `.IC` overrides (pass `&[]` for none): after the DC solve (or
 /// the all-zeros `UIC` start when `dc_init` is false) each listed node's
@@ -389,6 +412,12 @@ pub fn transient(circuit: &Circuit, params: &TranParams) -> Result<TranResult> {
 /// approximation — the override biases the initial state rather than
 /// adding a constraint row, so the first steps relax any resulting KCL
 /// imbalance. Ground and unknown nodes are ignored.
+///
+/// `stop` (pass `None` to run to `t_stop`) is called after each recorded
+/// sample, the `t = 0` one included, with its time and node voltages. When
+/// it returns `true` the run ends at that sample: the result holds the
+/// samples up to it, each bit-identical to the full run's, and
+/// `Metric::TranSteps` counts only the steps taken.
 ///
 /// # Errors
 ///
@@ -399,6 +428,7 @@ pub fn transient_with(
     params: &TranParams,
     ws: &mut TranWorkspace,
     ics: &[(NodeId, f64)],
+    mut stop: Option<StopPredicate<'_>>,
 ) -> Result<TranResult> {
     // `is_nan()` checks keep the rejection of NaN parameters explicit.
     if params.dt.is_nan()
@@ -412,12 +442,25 @@ pub fn transient_with(
             params.t_stop, params.dt
         )));
     }
+    // Every trace is preallocated to `n_steps + 1` samples; a count no
+    // `Vec<f64>` can hold (an infinite or astronomically long window, or
+    // inf/inf) is refused before `as usize` would saturate and the `+ 1`
+    // overflow.
+    let n_steps = (params.t_stop / params.dt).round();
+    let max_samples = isize::MAX as usize / std::mem::size_of::<f64>();
+    if n_steps.is_nan() || n_steps >= max_samples as f64 {
+        return Err(Error::InvalidAnalysis(format!(
+            "transient window t_stop={}, dt={} needs {n_steps:e} steps; \
+             a trace holds at most {max_samples} samples",
+            params.t_stop, params.dt
+        )));
+    }
+    let n_steps = n_steps as usize;
     ws.check(circuit, params.newton.solver)?;
     let _t = phase_span(Phase::Tran);
     ws.stats = TranStats::default();
     let dim = ws.mna.dim();
     let n_nodes = ws.mna.n_nodes();
-    let n_steps = (params.t_stop / params.dt).round() as usize;
 
     // Initial condition. The DC solve follows the same solver selection.
     let mut x: Vec<f64> = if params.dc_init {
@@ -468,7 +511,14 @@ pub fn transient_with(
             br.push(x[vb[s]]);
         }
     };
+    let mut stop_here = |t: f64, x: &[f64]| {
+        stop.as_deref_mut()
+            .is_some_and(|f| f(t, NodeVoltages(&x[..n_nodes])))
+    };
     record(&x, 0.0, &mut times, &mut traces, &mut branch_currents);
+    // With a stop at t = 0 the step range below is empty.
+    let last_step = if stop_here(0.0, &x) { 0 } else { n_steps };
+    let mut steps_taken = 0;
 
     ws.mna.rhs_into(circuit, 0.0, 1.0, &mut ws.b_prev);
     // Nonlinear residual at the previous time point.
@@ -476,7 +526,7 @@ pub fn transient_with(
     ws.mna.stamp_nonlinear(circuit, &x, &mut ws.f_prev, None);
     let mut total_newton = 0usize;
 
-    for step in 1..=n_steps {
+    for step in 1..=last_step {
         let t1 = step as f64 * params.dt;
         ws.mna.rhs_into(circuit, t1, 1.0, &mut ws.b_cur);
         // Assemble step RHS into ws.rhs (scratch holds C·x, then G·x).
@@ -539,6 +589,10 @@ pub fn transient_with(
             }
         }
         record(&x, t1, &mut times, &mut traces, &mut branch_currents);
+        steps_taken = step;
+        if stop_here(t1, &x) {
+            break;
+        }
         std::mem::swap(&mut ws.b_prev, &mut ws.b_cur);
         ws.f_prev.fill(0.0);
         ws.mna.stamp_nonlinear(circuit, &x, &mut ws.f_prev, None);
@@ -552,7 +606,7 @@ pub fn transient_with(
         .iter()
         .map(|id| circuit.element(*id).name().to_string())
         .collect();
-    ws.stats.steps = n_steps as u64;
+    ws.stats.steps = steps_taken as u64;
     ws.stats.newton_iterations = total_newton as u64;
     ws.stats.flush();
     Ok(TranResult {
@@ -692,6 +746,25 @@ mod tests {
         assert!(transient(&ckt, &TranParams::new(-1.0, 1e-12)).is_err());
         assert!(transient(&ckt, &TranParams::new(1e-9, 0.0)).is_err());
         assert!(transient(&ckt, &TranParams::new(1e-12, 1e-9)).is_err());
+    }
+
+    #[test]
+    fn unrepresentable_step_count_rejected() {
+        // 1e7 s at 1 ps is 1e19 samples, more than a `Vec<f64>` may hold
+        // (2^60); 1e300 s overflows the count to infinity, and an infinite
+        // window has no count at all (inf/inf is NaN). Each is refused
+        // before any trace is allocated.
+        let (ckt, _) = rc_circuit(1e3, 1e-12, SourceWaveform::Dc(1.0));
+        for (t_stop, dt) in [
+            (1e7, 1e-12),
+            (1e300, 1e-12),
+            (f64::INFINITY, 1e-12),
+            (f64::INFINITY, f64::INFINITY),
+        ] {
+            let err = transient(&ckt, &TranParams::new(t_stop, dt)).unwrap_err();
+            assert!(matches!(err, Error::InvalidAnalysis(_)), "{err}");
+            assert!(err.to_string().contains("a trace holds at most"), "{err}");
+        }
     }
 
     #[test]

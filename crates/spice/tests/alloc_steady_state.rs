@@ -141,9 +141,9 @@ fn assert_fixed_step_alloc_free(ckt: &Circuit, kind: SolverKind, dt: f64, slack:
     let mut long_params = TranParams::new(1.6 * NS, dt);
     long_params.newton.solver = kind;
     // Warm-up: fills any lazily-created factor state.
-    transient_with(ckt, &short_params, &mut ws, &[]).unwrap();
-    let (short, _) = allocs(|| transient_with(ckt, &short_params, &mut ws, &[]));
-    let (long, _) = allocs(|| transient_with(ckt, &long_params, &mut ws, &[]));
+    transient_with(ckt, &short_params, &mut ws, &[], None).unwrap();
+    let (short, _) = allocs(|| transient_with(ckt, &short_params, &mut ws, &[], None));
+    let (long, _) = allocs(|| transient_with(ckt, &long_params, &mut ws, &[], None));
     let extra_steps = (1.2 * NS / dt) as u64;
     assert!(
         long <= short + slack,

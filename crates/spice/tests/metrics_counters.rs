@@ -9,7 +9,7 @@ use sna_obs::{local_snapshot, Metric};
 use sna_spice::devices::{MosPolarity, MosfetModel, SourceWaveform};
 use sna_spice::netlist::Circuit;
 use sna_spice::solver::SolverKind;
-use sna_spice::tran::{transient_with, TranParams, TranWorkspace};
+use sna_spice::tran::{transient_with, StopPredicate, TranParams, TranResult, TranWorkspace};
 use sna_spice::units::{NS, PS};
 
 /// Linear RC ladder, `n_nodes` unknowns plus one source row.
@@ -103,7 +103,7 @@ fn inverter_glitch_counters_match_hand_check() {
     let mut params = TranParams::new(1.0 * NS, 1.0 * PS);
     params.newton.solver = SolverKind::Dense;
     let before = local_snapshot();
-    let res = transient_with(&ckt, &params, &mut ws, &[]).unwrap();
+    let res = transient_with(&ckt, &params, &mut ws, &[], None).unwrap();
     let d = local_snapshot().since(&before);
     let steps = (1.0 * NS / (1.0 * PS)).round() as u64;
 
@@ -146,7 +146,7 @@ fn linear_ladder_counters_match_hand_check() {
     let mut params = TranParams::new(1.0 * NS, 2.0 * PS);
     params.newton.solver = SolverKind::Dense;
     let before = local_snapshot();
-    let res = transient_with(&ckt, &params, &mut ws, &[]).unwrap();
+    let res = transient_with(&ckt, &params, &mut ws, &[], None).unwrap();
     let d = local_snapshot().since(&before);
     let steps = (1.0 * NS / (2.0 * PS)).round() as u64;
 
@@ -161,4 +161,89 @@ fn linear_ladder_counters_match_hand_check() {
     assert_eq!(d.get(Metric::SolverFactorsDense), 1);
     assert_eq!(d.get(Metric::SolverRefactorsDense), 1);
     assert_eq!(d.get(Metric::SolverSolves), steps + 1);
+}
+
+/// Every sample of `stopped` equals the same sample of `full`, bit for bit:
+/// the time axis, each named node trace and each named source current.
+fn assert_prefix(stopped: &TranResult, full: &TranResult, nodes: &[String], sources: &[&str]) {
+    let n = stopped.times().len();
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(stopped.times()), bits(&full.times()[..n]), "time axis");
+    for name in nodes {
+        let (a, b) = (stopped.waveform(name), full.waveform(name));
+        let (a, b) = (a.expect("node"), b.expect("node"));
+        assert_eq!(bits(a.values()), bits(&b.values()[..n]), "node {name}");
+    }
+    for name in sources {
+        let (a, b) = (stopped.vsource_current(name), full.vsource_current(name));
+        let (a, b) = (a.expect("source"), b.expect("source"));
+        assert_eq!(bits(a.values()), bits(&b.values()[..n]), "branch {name}");
+    }
+}
+
+/// An early-stop predicate is called once per recorded sample, the `t = 0`
+/// one included, and ends the run at the first sample it accepts. The
+/// stopped run is the prefix of the unstopped one on every node and branch
+/// trace, bit for bit, and `TranSteps` counts only the steps taken. A
+/// predicate that never fires leaves the run, and its counts, as `None`
+/// does. Each run gets a fresh workspace, so the sparse path is bit-exact
+/// too.
+#[test]
+fn early_stop_keeps_the_prefix_and_counts_steps_taken() {
+    let ladder_nodes: Vec<String> = (0..16).map(|i| format!("n{i}")).collect();
+    let inverter_nodes: Vec<String> = ["vdd", "in", "out"].map(String::from).to_vec();
+    let cases = [
+        (ladder(16), "n15", ladder_nodes, vec!["Vin"], 0.6),
+        (inverter(), "out", inverter_nodes, vec!["Vdd", "Vin"], 0.2),
+    ];
+    for kind in [SolverKind::Dense, SolverKind::Sparse] {
+        for (ckt, probe, nodes, sources, level) in &cases {
+            let probe = ckt.find_node(probe).expect("probe node");
+            let mut params = TranParams::new(1.0 * NS, 2.0 * PS);
+            params.newton.solver = kind;
+            let n_steps = (1.0 * NS / (2.0 * PS)).round() as u64;
+            let run = |stop: Option<StopPredicate<'_>>| {
+                let mut ws = TranWorkspace::new(ckt, kind).unwrap();
+                let before = local_snapshot();
+                let res = transient_with(ckt, &params, &mut ws, &[], stop).unwrap();
+                (res, local_snapshot().since(&before))
+            };
+            let (full, d_full) = run(None);
+            assert_eq!(d_full.get(Metric::TranSteps), n_steps);
+
+            let mut calls = 0usize;
+            let (stopped, d) = run(Some(&mut |_, v| {
+                calls += 1;
+                v.get(probe) > *level
+            }));
+            let n = stopped.times().len();
+            assert!(1 < n && n < full.times().len(), "{kind:?}: stopped at {n}");
+            assert_eq!(calls, n, "{kind:?}: one call per recorded sample");
+            assert_eq!(d.get(Metric::TranCalls), 1);
+            assert_eq!(d.get(Metric::TranSteps), n as u64 - 1);
+            assert_eq!(
+                d.get(Metric::TranNewtonIterations),
+                stopped.newton_iterations as u64
+            );
+            assert_prefix(&stopped, &full, nodes, sources);
+            // It stopped at the first sample past the level, not later.
+            let v = stopped.node_waveform(probe);
+            assert!(v.values()[n - 1] > *level);
+            assert!(v.values()[..n - 1].iter().all(|&x| x <= *level));
+
+            let mut calls = 0usize;
+            let (never, d) = run(Some(&mut |_, _| {
+                calls += 1;
+                false
+            }));
+            assert_eq!(calls as u64, n_steps + 1);
+            assert_eq!(d.get(Metric::TranSteps), n_steps);
+            assert_eq!(format!("{never:?}"), format!("{full:?}"));
+
+            let (at_zero, d) = run(Some(&mut |_, _| true));
+            assert_eq!(at_zero.times(), &[0.0]);
+            assert_eq!(d.get(Metric::TranSteps), 0);
+            assert_prefix(&at_zero, &full, nodes, sources);
+        }
+    }
 }

@@ -139,7 +139,7 @@ fn reused_workspace_matches_fresh_analyses() {
                 let what = format!("{kind:?} setting {k}");
                 let dc = ws.dc(&ckt, &params.newton, warm.as_deref()).unwrap();
                 let fresh_dc = dc_operating_point(&ckt, &params.newton, warm.as_deref()).unwrap();
-                let tran = transient_with(&ckt, &params, &mut ws, &[]).unwrap();
+                let tran = transient_with(&ckt, &params, &mut ws, &[], None).unwrap();
                 let fresh_tran = transient(&ckt, &params).unwrap();
                 if kind == SolverKind::Dense {
                     assert_eq!(bits(&dc), bits(&fresh_dc), "{what}: DC");
@@ -183,6 +183,6 @@ fn workspace_dc_rejects_changed_values_and_solver() {
     assert!(err.to_string().contains("solver selection"), "got: {err}");
     let mut params = TranParams::new(0.3 * NS, 3.0 * PS);
     params.newton = sparse;
-    let err = transient_with(&ckt, &params, &mut ws, &[]).unwrap_err();
+    let err = transient_with(&ckt, &params, &mut ws, &[], None).unwrap_err();
     assert!(err.to_string().contains("solver selection"), "got: {err}");
 }

@@ -132,7 +132,7 @@ fn workspace_reuse_matches_fresh_runs() {
     let (mut ckt, out, noisy) = inverter_glitch_circuit();
     let params = TranParams::new(0.5 * NS, 1.0 * PS);
     let mut ws = TranWorkspace::new(&ckt, SolverKind::Auto).expect("workspace");
-    let first = transient_with(&ckt, &params, &mut ws, &[]).expect("first run");
+    let first = transient_with(&ckt, &params, &mut ws, &[], None).expect("first run");
     // Different glitch, same topology.
     ckt.set_source_wave(
         &noisy,
@@ -145,7 +145,7 @@ fn workspace_reuse_matches_fresh_runs() {
         },
     )
     .expect("swap glitch");
-    let reused = transient_with(&ckt, &params, &mut ws, &[]).expect("reused run");
+    let reused = transient_with(&ckt, &params, &mut ws, &[], None).expect("reused run");
     let fresh = transient(&ckt, &params).expect("fresh run");
     let diff = reused
         .node_waveform(out)
@@ -172,11 +172,11 @@ fn workspace_rejects_element_value_change() {
     let ckt = build(1e4);
     let params = TranParams::new(0.2 * NS, 2.0 * PS);
     let mut ws = TranWorkspace::new(&ckt, SolverKind::Auto).expect("workspace");
-    transient_with(&ckt, &params, &mut ws, &[]).expect("first run");
+    transient_with(&ckt, &params, &mut ws, &[], None).expect("first run");
     let altered = build(2e4);
     assert_eq!(altered.node_count(), ckt.node_count());
-    let err =
-        transient_with(&altered, &params, &mut ws, &[]).expect_err("value change must be refused");
+    let err = transient_with(&altered, &params, &mut ws, &[], None)
+        .expect_err("value change must be refused");
     assert!(
         err.to_string().contains("element values changed"),
         "unexpected error: {err}"
