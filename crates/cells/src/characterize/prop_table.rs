@@ -11,6 +11,7 @@ use sna_spice::devices::{SourceWaveform, Table2d};
 use sna_spice::error::{Error, Result};
 use sna_spice::netlist::Circuit;
 use sna_spice::tran::{transient_with, TranParams, TranWorkspace};
+use sna_spice::units::PS;
 use sna_spice::waveform::Waveform;
 
 use crate::cell::{Cell, DriverMode};
@@ -86,6 +87,15 @@ impl PropagatedNoiseTable {
         }
         Waveform::from_samples(ts, vs).expect("constructed monotone")
     }
+}
+
+/// The input-glitch grid of the flow's propagated-noise tables at supply
+/// `vdd`: heights 0.25…1.05·Vdd in five steps and widths 150…1200 ps in
+/// four, as `(heights, widths)` in volts and seconds.
+pub fn standard_grid(vdd: f64) -> (Vec<f64>, Vec<f64>) {
+    let heights = [0.25, 0.45, 0.65, 0.85, 1.05].iter().map(|f| f * vdd);
+    let widths = [150.0, 300.0, 600.0, 1200.0].iter().map(|w| w * PS);
+    (heights.collect(), widths.collect())
 }
 
 /// Direction of the input glitch for a drive state: away from the noisy

@@ -18,8 +18,8 @@
 use serde::{Deserialize, Serialize};
 use sna_cells::characterize::{
     characterize_load_curve, characterize_propagated_noise_with, characterize_thevenin_with,
-    holding_resistance, CharacterizeOptions, LoadCurve, PropagatedNoiseTable, TheveninDriver,
-    TheveninLoad,
+    holding_resistance, prop_table, CharacterizeOptions, LoadCurve, PropagatedNoiseTable,
+    TheveninDriver, TheveninLoad,
 };
 use sna_cells::{Cell, DriverMode, Technology};
 use sna_interconnect::CoupledBus;
@@ -376,14 +376,7 @@ impl ClusterMacromodel {
             )?)
             .clone(),
             None => {
-                let heights: Vec<f64> = [0.25, 0.45, 0.65, 0.85, 1.05]
-                    .iter()
-                    .map(|f| f * vdd)
-                    .collect();
-                let widths: Vec<f64> = [150.0, 300.0, 600.0, 1200.0]
-                    .iter()
-                    .map(|w| w * PS)
-                    .collect();
+                let (heights, widths) = prop_table::standard_grid(vdd);
                 characterize_propagated_noise_with(
                     &spec.victim.cell,
                     &spec.victim.mode,

@@ -25,21 +25,37 @@
 //!     val_fp   u64      FNV-1a of val_bytes
 //! ```
 //!
-//! Keys are the in-memory cache keys (which embed FNV fingerprints of the
-//! full `Technology` and `CharacterizeOptions` — the `TranWorkspace`
-//! fingerprint discipline), so an entry characterized under one technology
-//! or tolerance set can never be served under another.
+//! Key bytes are the library's own lookup keys, which each lookup writes
+//! from its inputs (`str` is a `u32` length and UTF-8, `list` a `u32` count
+//! and `u64` bit patterns):
+//!
+//! ```text
+//! cell        str tech name, u64 tech fingerprint, str cell tag,
+//!             u64 strength
+//! load_curve, holding_r:
+//!             cell, u64 noisy input, list input levels, u64 options fp
+//! prop_table  the same, then u64 load bucket (an i32, sign-extended)
+//! thevenin    cell, u8 rising, u64 slew, u64 ×4 load words, u64 options fp
+//! nrc         cell, u8 input_low, list widths, u8 solver tag, u64 argument
+//! ```
+//!
+//! The fingerprints cover the full `Technology` and `CharacterizeOptions`
+//! (the `TranWorkspace` fingerprint discipline), so an entry characterized
+//! under one technology or tolerance set can never be served under
+//! another, and since every field is fixed-width or length-prefixed, equal
+//! bytes mean equal inputs.
 //!
 //! ## Failure semantics
 //!
 //! * **Structural** problems — bad magic, unsupported version, truncation,
 //!   trailing garbage — abort the load with an error. The caller logs a
 //!   diagnostic and proceeds cold; already-validated entries stay usable.
-//! * **Per-entry** problems — a fingerprint mismatch or a payload that
-//!   fails semantic validation (e.g. a non-monotonic table axis, an
-//!   unknown cell tag from a newer library) — reject just that entry,
-//!   count it as `stale_rejected`, and continue. A stale entry is
-//!   recomputed on first use; it is **never** served.
+//! * **Per-entry** problems — a fingerprint mismatch, a key that does not
+//!   parse as a key of its section (e.g. an unknown cell tag from a newer
+//!   library), or a payload that fails semantic validation (e.g. a
+//!   non-monotonic table axis) — reject just that entry, count it as
+//!   `stale_rejected`, and continue. A stale entry is recomputed on first
+//!   use; it is **never** served.
 //!
 //! Saving sorts entries by key bytes, so the file is a deterministic
 //! function of the cache contents: `save(load(save(lib))) == save(lib)`
@@ -49,15 +65,18 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use sna_cells::characterize::{LoadCurve, PropagatedNoiseTable, TheveninDriver};
-use sna_cells::{CellType, DriverMode};
+use sna_cells::characterize::{
+    CharacterizeOptions, LoadCurve, PropagatedNoiseTable, TheveninDriver, TheveninLoad,
+};
+use sna_cells::{Cell, CellType, DriverMode};
 use sna_spice::devices::{SourceWaveform, Table2d};
 use sna_spice::error::{Error, Result};
 use sna_spice::fnv::Fnv;
+use sna_spice::solver::SolverKind;
 
 use super::{
-    ArtifactKind, CellIdent, CellKey, Entry, NoiseModelLibrary, NrcKey, TheveninKey,
-    ALL_ARTIFACT_KINDS, ARTIFACT_KIND_COUNT,
+    opts_fingerprint, solver_code, tech_fingerprint, NoiseModelLibrary, ALL_ARTIFACT_KINDS,
+    ARTIFACT_KIND_COUNT,
 };
 use crate::nrc::NoiseRejectionCurve;
 
@@ -77,7 +96,8 @@ pub struct DiskLoadStats {
     pub loaded: usize,
     /// Entries rejected (fingerprint mismatch or semantic validation).
     pub stale_rejected: usize,
-    /// Inserted entries per [`ArtifactKind`], indexed by discriminant.
+    /// Inserted entries per [`ArtifactKind`](super::ArtifactKind), indexed
+    /// by discriminant.
     pub per_kind_loaded: [usize; ARTIFACT_KIND_COUNT],
 }
 
@@ -133,13 +153,6 @@ impl ByteWriter {
         self.u32(vs.len() as u32);
         for &v in vs {
             self.f64(v);
-        }
-    }
-
-    fn u64_slice(&mut self, vs: &[u64]) {
-        self.u32(vs.len() as u32);
-        for &v in vs {
-            self.u64(v);
         }
     }
 
@@ -215,14 +228,6 @@ impl<'a> ByteReader<'a> {
         (0..n).map(|_| self.f64()).collect()
     }
 
-    fn u64_vec(&mut self) -> Result<Vec<u64>> {
-        let n = self.u32()? as usize;
-        if n > self.remaining() / 8 {
-            return Err(corrupt("u64 vector length exceeds remaining bytes"));
-        }
-        (0..n).map(|_| self.u64()).collect()
-    }
-
     fn len_prefixed(&mut self) -> Result<&'a [u8]> {
         let n = self.u32()? as usize;
         self.take(n)
@@ -249,130 +254,141 @@ fn finite(v: f64) -> Result<f64> {
 }
 
 // ---------------------------------------------------------------------------
-// Key encodings
+// Keys: each writer is the library's key constructor for its kind, and each
+// `check_*` accepts the byte strings that parse as its writer's layout.
 // ---------------------------------------------------------------------------
 
-fn intern_cell_tag(s: &str) -> Result<&'static str> {
-    for t in [
+/// A cell's identity: technology name and model fingerprint, cell tag,
+/// strength.
+fn write_cell(w: &mut ByteWriter, cell: &Cell) {
+    w.str(&cell.tech.name);
+    w.u64(tech_fingerprint(&cell.tech));
+    w.str(cell.cell_type.tag());
+    w.f64(cell.strength);
+}
+
+fn check_cell(r: &mut ByteReader) -> Result<()> {
+    r.str()?;
+    r.u64()?;
+    let tag = r.str()?;
+    let types = [
         CellType::Inv,
         CellType::Buf,
         CellType::Nand2,
         CellType::Nor2,
         CellType::Aoi21,
-    ] {
-        if t.tag() == s {
-            return Ok(t.tag());
+    ];
+    if !types.iter().any(|t| t.tag() == tag) {
+        return Err(corrupt(&format!("unknown cell tag {tag:?}")));
+    }
+    r.u64().map(drop)
+}
+
+fn write_cell_key(w: &mut ByteWriter, cell: &Cell, mode: &DriverMode, opts: &CharacterizeOptions) {
+    write_cell(w, cell);
+    w.u64(mode.noisy_input as u64);
+    w.f64_slice(&mode.input_levels);
+    w.u64(opts_fingerprint(opts));
+}
+
+/// Key of a cell in a drive state under `opts`: the key of its load curve
+/// and of its holding resistance.
+pub(super) fn cell_key(cell: &Cell, mode: &DriverMode, opts: &CharacterizeOptions) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    write_cell_key(&mut w, cell, mode, opts);
+    w.into_bytes()
+}
+
+fn check_cell_key(r: &mut ByteReader) -> Result<()> {
+    check_cell(r)?;
+    r.u64()?;
+    r.f64_vec()?;
+    r.u64().map(drop)
+}
+
+/// Key of a propagated-noise table: [`cell_key`] plus the load bucket.
+pub(super) fn prop_key(
+    cell: &Cell,
+    mode: &DriverMode,
+    opts: &CharacterizeOptions,
+    bucket: i32,
+) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    write_cell_key(&mut w, cell, mode, opts);
+    w.u64(i64::from(bucket) as u64);
+    w.into_bytes()
+}
+
+fn check_prop_key(r: &mut ByteReader) -> Result<()> {
+    check_cell_key(r)?;
+    // A bucket is an `i32`, written sign-extended.
+    i32::try_from(r.u64()? as i64)
+        .map(drop)
+        .map_err(|_| corrupt("load bucket out of range"))
+}
+
+/// Key of a Thevenin fit: the cell, its edge and input slew, the exact
+/// load, and the options.
+pub(super) fn thevenin_key(
+    cell: &Cell,
+    rising: bool,
+    input_slew: f64,
+    load: &TheveninLoad,
+    opts: &CharacterizeOptions,
+) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    write_cell(&mut w, cell);
+    w.bool(rising);
+    w.f64(input_slew);
+    // `[variant, a, b, c]`: `[0, cap, 0, 0]` for `Lumped(cap)`,
+    // `[1, c_near, r, c_far]` for `Pi`.
+    let load_words = match *load {
+        TheveninLoad::Lumped(cap) => [0, cap.to_bits(), 0, 0],
+        TheveninLoad::Pi { c_near, r, c_far } => {
+            [1, c_near.to_bits(), r.to_bits(), c_far.to_bits()]
         }
+    };
+    for word in load_words {
+        w.u64(word);
     }
-    Err(corrupt(&format!("unknown cell tag {s:?}")))
-}
-
-fn encode_ident(w: &mut ByteWriter, ident: &CellIdent) {
-    w.str(&ident.tech);
-    w.u64(ident.tech_fp);
-    w.str(ident.cell_tag);
-    w.u64(ident.strength_bits);
-}
-
-fn decode_ident(r: &mut ByteReader) -> Result<CellIdent> {
-    let tech = r.str()?;
-    let tech_fp = r.u64()?;
-    let cell_tag = intern_cell_tag(&r.str()?)?;
-    let strength_bits = r.u64()?;
-    Ok(CellIdent {
-        tech,
-        tech_fp,
-        cell_tag,
-        strength_bits,
-    })
-}
-
-fn encode_cell_key(key: &CellKey) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    encode_ident(&mut w, &key.ident);
-    w.u64(key.noisy_input as u64);
-    w.u64_slice(&key.level_bits);
-    w.u64(key.opts_fp);
+    w.u64(opts_fingerprint(opts));
     w.into_bytes()
 }
 
-fn decode_cell_key(r: &mut ByteReader) -> Result<CellKey> {
-    let ident = decode_ident(r)?;
-    let noisy_input = r.u64()? as usize;
-    let level_bits = r.u64_vec()?;
-    let opts_fp = r.u64()?;
-    Ok(CellKey {
-        ident,
-        noisy_input,
-        level_bits,
-        opts_fp,
-    })
-}
-
-fn encode_prop_key(key: &(CellKey, i32)) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.bytes(&encode_cell_key(&key.0));
-    w.u64(key.1 as i64 as u64);
-    w.into_bytes()
-}
-
-fn decode_prop_key(r: &mut ByteReader) -> Result<(CellKey, i32)> {
-    let key = decode_cell_key(r)?;
-    let bucket = r.u64()? as i64 as i32;
-    Ok((key, bucket))
-}
-
-fn encode_thevenin_key(key: &TheveninKey) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    encode_ident(&mut w, &key.ident);
-    w.bool(key.rising);
-    w.u64(key.slew_bits);
-    for b in key.load_bits {
-        w.u64(b);
+fn check_thevenin_key(r: &mut ByteReader) -> Result<()> {
+    check_cell(r)?;
+    r.bool()?;
+    // The slew, the four load words and the options fingerprint.
+    for _ in 0..6 {
+        r.u64()?;
     }
-    w.u64(key.opts_fp);
-    w.into_bytes()
+    Ok(())
 }
 
-fn decode_thevenin_key(r: &mut ByteReader) -> Result<TheveninKey> {
-    let ident = decode_ident(r)?;
-    let rising = r.bool()?;
-    let slew_bits = r.u64()?;
-    let mut load_bits = [0u64; 4];
-    for b in &mut load_bits {
-        *b = r.u64()?;
-    }
-    let opts_fp = r.u64()?;
-    Ok(TheveninKey {
-        ident,
-        rising,
-        slew_bits,
-        load_bits,
-        opts_fp,
-    })
-}
-
-fn encode_nrc_key(key: &NrcKey) -> Vec<u8> {
+/// Key of a noise-rejection curve: the receiver, its input polarity, the
+/// width grid, and the solver.
+pub(super) fn nrc_key(
+    receiver: &Cell,
+    input_low: bool,
+    widths: &[f64],
+    solver: SolverKind,
+) -> Vec<u8> {
     let mut w = ByteWriter::new();
-    encode_ident(&mut w, &key.ident);
-    w.bool(key.input_low);
-    w.u64_slice(&key.width_bits);
-    w.u8(key.solver.0);
-    w.u64(key.solver.1);
+    write_cell(&mut w, receiver);
+    w.bool(input_low);
+    w.f64_slice(widths);
+    let (tag, arg) = solver_code(solver);
+    w.u8(tag);
+    w.u64(arg);
     w.into_bytes()
 }
 
-fn decode_nrc_key(r: &mut ByteReader) -> Result<NrcKey> {
-    let ident = decode_ident(r)?;
-    let input_low = r.bool()?;
-    let width_bits = r.u64_vec()?;
-    let solver = (r.u8()?, r.u64()?);
-    Ok(NrcKey {
-        ident,
-        input_low,
-        width_bits,
-        solver,
-    })
+fn check_nrc_key(r: &mut ByteReader) -> Result<()> {
+    check_cell(r)?;
+    r.bool()?;
+    r.f64_vec()?;
+    r.u8()?;
+    r.u64().map(drop)
 }
 
 // ---------------------------------------------------------------------------
@@ -614,12 +630,58 @@ fn decode_nrc(r: &mut ByteReader) -> Result<NoiseRejectionCurve> {
 }
 
 // ---------------------------------------------------------------------------
+// Codecs: one per artifact kind
+// ---------------------------------------------------------------------------
+
+/// What an image knows about one artifact kind: which bytes parse as its
+/// keys, and how its values are written and read.
+#[derive(Debug)]
+pub(super) struct Codec<V> {
+    /// Whether bytes parse as a key of the kind.
+    pub(super) key_ok: fn(&[u8]) -> bool,
+    /// A value's bytes, `None` for a value an image does not hold.
+    pub(super) encode: fn(&V) -> Option<Vec<u8>>,
+    /// The value bytes hold, `None` unless they decode to a valid one.
+    pub(super) decode: fn(&[u8]) -> Option<V>,
+}
+
+pub(super) static LOAD_CURVES: Codec<Arc<LoadCurve>> = Codec {
+    key_ok: |key| decode_exact(key, check_cell_key).is_some(),
+    encode: |lc| Some(encode_load_curve(lc)),
+    decode: |val| decode_exact(val, decode_load_curve).map(Arc::new),
+};
+
+pub(super) static HOLDING_R: Codec<f64> = Codec {
+    key_ok: |key| decode_exact(key, check_cell_key).is_some(),
+    encode: |r| Some(r.to_bits().to_le_bytes().to_vec()),
+    decode: |val| decode_exact(val, |r| finite(r.f64()?)),
+};
+
+pub(super) static PROP_TABLES: Codec<Arc<PropagatedNoiseTable>> = Codec {
+    key_ok: |key| decode_exact(key, check_prop_key).is_some(),
+    encode: |t| Some(encode_prop_table(t)),
+    decode: |val| decode_exact(val, decode_prop_table).map(Arc::new),
+};
+
+pub(super) static THEVENINS: Codec<Arc<TheveninDriver>> = Codec {
+    key_ok: |key| decode_exact(key, check_thevenin_key).is_some(),
+    encode: |th| encode_thevenin(th),
+    decode: |val| decode_exact(val, decode_thevenin).map(Arc::new),
+};
+
+pub(super) static NRCS: Codec<Arc<NoiseRejectionCurve>> = Codec {
+    key_ok: |key| decode_exact(key, check_nrc_key).is_some(),
+    encode: |curve| Some(encode_nrc(curve)),
+    decode: |val| decode_exact(val, decode_nrc).map(Arc::new),
+};
+
+// ---------------------------------------------------------------------------
 // Save / load
 // ---------------------------------------------------------------------------
 
 fn write_section(w: &mut ByteWriter, mut entries: Vec<(Vec<u8>, Vec<u8>)>) {
     // Sorting by key bytes makes the file a deterministic function of the
-    // cache *contents*, independent of shard iteration order.
+    // cache *contents*, independent of map iteration order.
     entries.sort();
     w.u64(entries.len() as u64);
     for (k, v) in entries {
@@ -641,106 +703,10 @@ impl NoiseModelLibrary {
         let mut w = ByteWriter::new();
         w.bytes(MAGIC);
         w.u32(VERSION);
-
-        let mut entries = Vec::new();
-        self.load_curves.for_each(|k, v| {
-            entries.push((encode_cell_key(k), encode_load_curve(&v.value)));
-        });
-        write_section(&mut w, std::mem::take(&mut entries));
-
-        self.holding.for_each(|k, v| {
-            let mut vw = ByteWriter::new();
-            vw.f64(v.value);
-            entries.push((encode_cell_key(k), vw.into_bytes()));
-        });
-        write_section(&mut w, std::mem::take(&mut entries));
-
-        self.prop_tables.for_each(|k, v| {
-            entries.push((encode_prop_key(k), encode_prop_table(&v.value)));
-        });
-        write_section(&mut w, std::mem::take(&mut entries));
-
-        self.thevenins.for_each(|k, v| {
-            if let Some(bytes) = encode_thevenin(&v.value) {
-                entries.push((encode_thevenin_key(k), bytes));
-            }
-        });
-        write_section(&mut w, std::mem::take(&mut entries));
-
-        self.nrcs.for_each(|k, v| {
-            entries.push((encode_nrc_key(k), encode_nrc(&v.value)));
-        });
-        write_section(&mut w, entries);
-
-        w.into_bytes()
-    }
-
-    /// Validate and insert one entry; `false` means stale (skip it).
-    fn insert_cache_entry(&self, kind: ArtifactKind, key: &[u8], val: &[u8]) -> bool {
-        match kind {
-            ArtifactKind::LoadCurve => {
-                match (
-                    decode_exact(key, decode_cell_key),
-                    decode_exact(val, decode_load_curve),
-                ) {
-                    (Some(k), Some(v)) => {
-                        self.load_curves
-                            .insert_if_absent(k, Entry::disk(Arc::new(v)));
-                        true
-                    }
-                    _ => false,
-                }
-            }
-            ArtifactKind::HoldingR => {
-                match (
-                    decode_exact(key, decode_cell_key),
-                    decode_exact(val, |r| finite(r.f64()?)),
-                ) {
-                    (Some(k), Some(v)) => {
-                        self.holding.insert_if_absent(k, Entry::disk(v));
-                        true
-                    }
-                    _ => false,
-                }
-            }
-            ArtifactKind::PropTable => {
-                match (
-                    decode_exact(key, decode_prop_key),
-                    decode_exact(val, decode_prop_table),
-                ) {
-                    (Some(k), Some(v)) => {
-                        self.prop_tables
-                            .insert_if_absent(k, Entry::disk(Arc::new(v)));
-                        true
-                    }
-                    _ => false,
-                }
-            }
-            ArtifactKind::Thevenin => {
-                match (
-                    decode_exact(key, decode_thevenin_key),
-                    decode_exact(val, decode_thevenin),
-                ) {
-                    (Some(k), Some(v)) => {
-                        self.thevenins.insert_if_absent(k, Entry::disk(Arc::new(v)));
-                        true
-                    }
-                    _ => false,
-                }
-            }
-            ArtifactKind::Nrc => {
-                match (
-                    decode_exact(key, decode_nrc_key),
-                    decode_exact(val, decode_nrc),
-                ) {
-                    (Some(k), Some(v)) => {
-                        self.nrcs.insert_if_absent(k, Entry::disk(Arc::new(v)));
-                        true
-                    }
-                    _ => false,
-                }
-            }
+        for section in self.sections() {
+            write_section(&mut w, section.encoded());
         }
+        w.into_bytes()
     }
 
     /// Load `sna-libcache-v1` bytes into this library.
@@ -769,7 +735,7 @@ impl NoiseModelLibrary {
             )));
         }
         let mut out = DiskLoadStats::default();
-        for kind in ALL_ARTIFACT_KINDS {
+        for (kind, section) in ALL_ARTIFACT_KINDS.into_iter().zip(self.sections()) {
             let count = r.u64()? as usize;
             // Each entry occupies at least 24 framing bytes; a count that
             // can't fit is structural corruption, not 2^60 stale entries.
@@ -787,13 +753,13 @@ impl NoiseModelLibrary {
                 let val_fp = r.u64()?;
                 let ok = Fnv::hash_bytes(key) == key_fp
                     && Fnv::hash_bytes(val) == val_fp
-                    && self.insert_cache_entry(kind, key, val);
+                    && section.load(key, val);
                 if ok {
                     out.loaded += 1;
                     out.per_kind_loaded[kind as usize] += 1;
                 } else {
                     out.stale_rejected += 1;
-                    self.record_stale(kind);
+                    section.reject();
                 }
             }
         }
@@ -810,13 +776,16 @@ impl NoiseModelLibrary {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{tech_fingerprint, KindStats, LibraryStats};
+    use super::super::{ArtifactKind, KindStats, LibraryStats, Store};
     use super::*;
     use proptest::prelude::*;
-    use sna_cells::characterize::{CharacterizeOptions, TheveninLoad};
     use sna_cells::{Cell, Technology};
-    use sna_spice::solver::SolverKind;
     use sna_spice::units::PS;
+
+    /// Length and FNV-1a hash of the image of
+    /// `synthetic_library(&[1.0, 2.5], &[250.0, 900.0], &[4000.0, 8000.0])`.
+    const PIN_LEN: usize = 1598;
+    const PIN_FNV: u64 = 16_314_442_758_790_980_556;
 
     /// A small but fully-populated library: one artifact of every kind.
     fn populated_library() -> NoiseModelLibrary {
@@ -1040,40 +1009,79 @@ mod tests {
         assert_eq!(d.kind(ArtifactKind::HoldingR).disk_hits, 1);
     }
 
-    /// Synthetic libraries for the round-trip property: entries inserted
-    /// directly into the maps, exercising arbitrary values without paying
-    /// for characterization in each proptest case.
+    /// A table from literals: `x` × `y` axes, values `base + i` in order.
+    fn literal_table(x: &[f64], y: &[f64], base: f64) -> Table2d {
+        let values = (0..x.len() * y.len()).map(|i| base + i as f64).collect();
+        Table2d::new(x.to_vec(), y.to_vec(), values).unwrap()
+    }
+
+    /// Fill `key` of `store` with `value`, as a characterization would.
+    fn put<V>(store: &Store<V>, key: Vec<u8>, value: V) {
+        let _ = store.slot(key).value.set((value, false));
+    }
+
+    /// Synthetic libraries for the round-trip property and the format pin:
+    /// one load curve and one propagated-noise table, plus an NRC, a
+    /// Thevenin fit and a holding resistance per strength (as far as
+    /// `rths` and `holding` reach), all built from literals and filled
+    /// directly, without paying for characterization.
     fn synthetic_library(strengths: &[f64], rths: &[f64], holding: &[f64]) -> NoiseModelLibrary {
         let lib = NoiseModelLibrary::new();
         let tech = Technology::cmos130();
-        let tech_fp = tech_fingerprint(&tech);
+        let opts = CharacterizeOptions {
+            grid: 5,
+            ..Default::default()
+        };
+        let mode = DriverMode {
+            noisy_input: 0,
+            input_levels: vec![0.0, 1.2],
+            output_level: 1.2,
+        };
+        let cell = Cell::nand2(tech.clone(), 1.0);
+        let axis = [0.0, 0.6, 1.2];
+        let curve = LoadCurve {
+            table: literal_table(&axis, &axis, -4e-4),
+            mode: mode.clone(),
+            vdd: 1.2,
+            c_out: 2e-15,
+            c_miller: 1e-15,
+        };
+        put(
+            &lib.load_curves,
+            cell_key(&cell, &mode, &opts),
+            Arc::new(curve),
+        );
+        let (h, w) = ([0.3, 0.6], [150.0 * PS, 300.0 * PS]);
+        let table = PropagatedNoiseTable {
+            peak: literal_table(&h, &w, 0.1),
+            width50: literal_table(&h, &w, 1e-10),
+            area: literal_table(&h, &w, 2e-11),
+            delay: literal_table(&h, &w, 3e-11),
+            mode: mode.clone(),
+            vdd: 1.2,
+            load_cap: 30e-15,
+            output_polarity: 1.0,
+        };
+        put(
+            &lib.prop_tables,
+            prop_key(&cell, &mode, &opts, -170),
+            Arc::new(table),
+        );
         for (i, &s) in strengths.iter().enumerate() {
-            let ident = CellIdent {
-                tech: tech.name.clone(),
-                tech_fp,
-                cell_tag: CellType::Inv.tag(),
-                strength_bits: s.to_bits(),
-            };
-            let key = NrcKey {
-                ident: ident.clone(),
-                input_low: i % 2 == 0,
-                width_bits: vec![(100.0 * PS).to_bits(), (200.0 * PS).to_bits()],
-                solver: (0, 0),
-            };
+            let cell = Cell::inv(tech.clone(), s);
+            let widths = [100.0 * PS, 200.0 * PS];
             let curve = NoiseRejectionCurve {
-                widths: vec![100.0 * PS, 200.0 * PS],
+                widths: widths.to_vec(),
                 fail_heights: vec![0.3 + s, 0.2 + s],
                 vdd: 1.2,
             };
-            lib.nrcs
-                .insert_if_absent(key, Entry::fresh(Arc::new(curve)));
+            let key = nrc_key(&cell, i % 2 == 0, &widths, SolverKind::Auto);
+            put(&lib.nrcs, key, Arc::new(curve));
             if let Some(&rth) = rths.get(i) {
-                let tk = TheveninKey {
-                    ident: ident.clone(),
-                    rising: i % 2 == 1,
-                    slew_bits: (50.0 * PS).to_bits(),
-                    load_bits: [1, (10e-15 + s * 1e-15).to_bits(), 40.0f64.to_bits(), 0],
-                    opts_fp: 7,
+                let load = TheveninLoad::Pi {
+                    c_near: 10e-15 + s * 1e-15,
+                    r: 40.0,
+                    c_far: 0.0,
                 };
                 let th = TheveninDriver {
                     rth,
@@ -1086,20 +1094,62 @@ mod tests {
                     rising: i % 2 == 1,
                     vdd: 1.2,
                 };
-                lib.thevenins
-                    .insert_if_absent(tk, Entry::fresh(Arc::new(th)));
+                let key = thevenin_key(&cell, i % 2 == 1, 50.0 * PS, &load, &opts);
+                put(&lib.thevenins, key, Arc::new(th));
             }
             if let Some(&r) = holding.get(i) {
-                let ck = CellKey {
-                    ident,
-                    noisy_input: 0,
-                    level_bits: vec![0u64, 1.2f64.to_bits()],
-                    opts_fp: 11,
-                };
-                lib.holding.insert_if_absent(ck, Entry::fresh(r));
+                put(&lib.holding, cell_key(&cell, &mode, &opts), r);
             }
         }
         lib
+    }
+
+    #[test]
+    fn image_bytes_are_pinned() {
+        // One entry of every kind and a second of three; the length and
+        // hash are those an image of the same library had before the keys
+        // became their own bytes, so any drift in the format shows here.
+        let lib = synthetic_library(&[1.0, 2.5], &[250.0, 900.0], &[4000.0, 8000.0]);
+        assert_eq!(lib.len(), 8);
+        let bytes = lib.to_cache_bytes();
+        assert_eq!((bytes.len(), Fnv::hash_bytes(&bytes)), (PIN_LEN, PIN_FNV));
+        let reloaded = NoiseModelLibrary::new();
+        let stats = reloaded.load_cache_bytes(&bytes).unwrap();
+        assert_eq!(stats.per_kind_loaded, [1, 2, 1, 2, 2]);
+        assert_eq!(reloaded.to_cache_bytes(), bytes);
+    }
+
+    #[test]
+    fn keys_that_do_not_parse_are_stale() {
+        let lib = synthetic_library(&[1.0], &[250.0], &[4000.0]);
+        let bytes = lib.to_cache_bytes();
+        // Rewrite every key's cell tag ("inv" and "nand2" alike) to an
+        // unknown one of the same length, and re-seal the fingerprints.
+        let mut r = ByteReader::new(&bytes);
+        let mut w = ByteWriter::new();
+        w.bytes(r.take(12).unwrap());
+        for _ in ALL_ARTIFACT_KINDS {
+            let count = r.u64().unwrap();
+            let entries = (0..count)
+                .map(|_| {
+                    let mut key = r.len_prefixed().unwrap().to_vec();
+                    r.u64().unwrap();
+                    let val = r.len_prefixed().unwrap().to_vec();
+                    r.u64().unwrap();
+                    // The tag's first byte: after the name, the fingerprint
+                    // and the tag's length.
+                    let name_len = u32::from_le_bytes(key[..4].try_into().unwrap());
+                    key[4 + name_len as usize + 8 + 4] = b'x';
+                    (key, val)
+                })
+                .collect();
+            write_section(&mut w, entries);
+        }
+        let fresh = NoiseModelLibrary::new();
+        let stats = fresh.load_cache_bytes(&w.into_bytes()).unwrap();
+        assert_eq!((stats.loaded, stats.stale_rejected), (0, 5));
+        assert!(fresh.is_empty());
+        assert_eq!(fresh.stats().stale_rejected, 5);
     }
 
     proptest! {

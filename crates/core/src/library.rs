@@ -22,20 +22,21 @@
 //! so an SNA run over a whole design pays characterization costs
 //! proportional to library diversity, not design size.
 //!
-//! Every key embeds FNV-1a fingerprints of the full [`Technology`] and
-//! [`CharacterizeOptions`] (the same fingerprint discipline
-//! `sna_spice::tran::TranWorkspace` uses to reject stale reuse), so two
-//! technologies that share a name but differ in any model parameter can
-//! never alias, and a cache persisted to disk (see [`cache`], the
-//! `sna-libcache-v1` format) can be validated entry-by-entry at load
-//! time.
+//! An artifact's key *is* its `sna-libcache-v1` key bytes (see [`cache`]):
+//! the technology name, cell, drive state and load, plus FNV-1a
+//! fingerprints of the full [`Technology`] and [`CharacterizeOptions`]
+//! (the same fingerprint discipline `sna_spice::tran::TranWorkspace` uses
+//! to reject stale reuse). Every field is fixed-width or length-prefixed,
+//! so two lookups share an artifact exactly when their inputs agree; two
+//! technologies that share a name but differ in any model parameter never
+//! alias, and a cache persisted to disk is validated entry by entry at
+//! load time without decoding its keys into anything else.
 //!
-//! The store is internally sharded (`RwLock<HashMap>` per shard, keyed by
-//! hash) with atomically aggregated hit/miss counters, so a parallel flow
-//! (`sna-flow`) can share one library by `&` reference across worker
-//! threads: concurrent lookups of *different* cells proceed without
-//! contention, and a hit on a filled key never blocks (characterization
-//! runs outside every shard lock). Lookups are single-flight per key: of
+//! Each kind lives in one store: a `RwLock<HashMap>` from key bytes to
+//! slot, locked only to find or add a slot, plus that kind's atomic
+//! hit/miss counters. A parallel flow (`sna-flow`) therefore shares one
+//! library by `&` reference across worker threads, and characterization
+//! runs outside every lock. Lookups are single-flight per key: of
 //! the threads that miss one cold key together, the first characterizes it
 //! and counts the miss while the rest wait for it and count hits, so every
 //! artifact is characterized once and the hit/miss counts do not depend on
@@ -45,16 +46,14 @@
 //! `disk_hits`, and count `disk_misses` (artifacts a loaded cache did not
 //! contain) and `stale_rejected` (on-disk entries refused at load time).
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 
 use sna_cells::characterize::{
     characterize_load_curve, characterize_propagated_noise_with, characterize_thevenin_with,
-    holding_resistance, CharacterizeOptions, LoadCurve, PropagatedNoiseTable, TheveninDriver,
-    TheveninLoad,
+    holding_resistance, prop_table, CharacterizeOptions, LoadCurve, PropagatedNoiseTable,
+    TheveninDriver, TheveninLoad,
 };
 use sna_cells::{Cell, DriverMode, Technology};
 use sna_obs::{phase_span, Phase};
@@ -62,18 +61,19 @@ use sna_spice::devices::{MosPolarity, MosfetModel};
 use sna_spice::error::{Error, Result};
 use sna_spice::fnv::Fnv;
 use sna_spice::solver::SolverKind;
-use sna_spice::units::PS;
 
 use crate::nrc::{characterize_nrc_with, NoiseRejectionCurve};
 
 #[path = "libcache.rs"]
 pub mod cache;
 
+use cache::Codec;
+
 /// Stable `(tag, argument)` encoding of a [`SolverKind`] for fingerprints
 /// and the on-disk cache format. Tag 1 (with a crossover argument) belonged
 /// to a removed tunable-threshold variant and stays reserved, so existing
 /// fingerprints and cache files keep their bytes.
-pub fn solver_code(solver: SolverKind) -> (u8, u64) {
+fn solver_code(solver: SolverKind) -> (u8, u64) {
     match solver {
         SolverKind::Auto => (0, 0),
         SolverKind::Dense => (2, 0),
@@ -120,7 +120,7 @@ pub fn tech_fingerprint(tech: &Technology) -> u64 {
 
 /// FNV-1a fingerprint of the characterization options that affect artifact
 /// *values*: the voltage grid and every Newton tolerance.
-pub fn opts_fingerprint(opts: &CharacterizeOptions) -> u64 {
+fn opts_fingerprint(opts: &CharacterizeOptions) -> u64 {
     let mut h = Fnv::new();
     h.write_usize(opts.grid);
     h.write_f64(opts.v_min_frac);
@@ -134,107 +134,6 @@ pub fn opts_fingerprint(opts: &CharacterizeOptions) -> u64 {
     h.write_u8(tag);
     h.write_u64(arg);
     h.finish()
-}
-
-/// Identity of a library cell: technology (name + full model fingerprint),
-/// cell type, and drive strength.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct CellIdent {
-    tech: String,
-    tech_fp: u64,
-    cell_tag: &'static str,
-    strength_bits: u64,
-}
-
-impl CellIdent {
-    fn new(cell: &Cell) -> Self {
-        CellIdent {
-            tech: cell.tech.name.clone(),
-            tech_fp: tech_fingerprint(&cell.tech),
-            cell_tag: cell.cell_type.tag(),
-            strength_bits: cell.strength.to_bits(),
-        }
-    }
-}
-
-/// Identity of a (cell, drive-state, options) triple, hashable across f64
-/// parameters.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct CellKey {
-    ident: CellIdent,
-    noisy_input: usize,
-    level_bits: Vec<u64>,
-    opts_fp: u64,
-}
-
-impl CellKey {
-    fn new(cell: &Cell, mode: &DriverMode, opts: &CharacterizeOptions) -> Self {
-        CellKey {
-            ident: CellIdent::new(cell),
-            noisy_input: mode.noisy_input,
-            level_bits: mode.input_levels.iter().map(|v| v.to_bits()).collect(),
-            opts_fp: opts_fingerprint(opts),
-        }
-    }
-}
-
-/// Identity of a Thevenin aggressor fit: cell identity, transition edge,
-/// input slew, and the exact bits of the Π (or lumped) load it was fit
-/// against.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct TheveninKey {
-    ident: CellIdent,
-    rising: bool,
-    slew_bits: u64,
-    /// `[variant, a, b, c]`: `[0, cap, 0, 0]` for `Lumped(cap)`,
-    /// `[1, c_near, r, c_far]` for `Pi`.
-    load_bits: [u64; 4],
-    opts_fp: u64,
-}
-
-impl TheveninKey {
-    fn new(
-        cell: &Cell,
-        rising: bool,
-        input_slew: f64,
-        load: &TheveninLoad,
-        opts: &CharacterizeOptions,
-    ) -> Self {
-        let load_bits = match *load {
-            TheveninLoad::Lumped(cap) => [0, cap.to_bits(), 0, 0],
-            TheveninLoad::Pi { c_near, r, c_far } => {
-                [1, c_near.to_bits(), r.to_bits(), c_far.to_bits()]
-            }
-        };
-        TheveninKey {
-            ident: CellIdent::new(cell),
-            rising,
-            slew_bits: input_slew.to_bits(),
-            load_bits,
-            opts_fp: opts_fingerprint(opts),
-        }
-    }
-}
-
-/// Identity of a noise-rejection curve: receiver cell, polarity, width
-/// grid, and solver.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct NrcKey {
-    ident: CellIdent,
-    input_low: bool,
-    width_bits: Vec<u64>,
-    solver: (u8, u64),
-}
-
-impl NrcKey {
-    fn new(receiver: &Cell, input_low: bool, widths: &[f64], solver: SolverKind) -> Self {
-        NrcKey {
-            ident: CellIdent::new(receiver),
-            input_low,
-            width_bits: widths.iter().map(|w| w.to_bits()).collect(),
-            solver: solver_code(solver),
-        }
-    }
 }
 
 /// Geometric load bucket (×1.2 steps) for propagated-noise tables.
@@ -260,8 +159,8 @@ fn bucket_cap(bucket: i32) -> f64 {
 
 /// Kinds of characterization artifacts the cache distinguishes.
 ///
-/// All five are cached in the library's sharded maps and are eligible for
-/// on-disk persistence via [`cache`].
+/// Each kind has one store in the library and one section in an on-disk
+/// `sna-libcache-v1` image (see [`cache`]), in this order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum ArtifactKind {
@@ -320,8 +219,21 @@ pub struct KindStats {
     pub stale_rejected: usize,
 }
 
-/// Cache statistics: per-artifact-kind hit/miss breakdown plus the derived
-/// totals and per-shard occupancy of the backing maps.
+impl KindStats {
+    /// Field-wise `op(self, other)`.
+    fn zip(self, other: KindStats, op: fn(usize, usize) -> usize) -> KindStats {
+        KindStats {
+            hits: op(self.hits, other.hits),
+            misses: op(self.misses, other.misses),
+            disk_hits: op(self.disk_hits, other.disk_hits),
+            disk_misses: op(self.disk_misses, other.disk_misses),
+            stale_rejected: op(self.stale_rejected, other.stale_rejected),
+        }
+    }
+}
+
+/// Cache statistics: per-artifact-kind hit/miss breakdown plus the totals
+/// derived from it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LibraryStats {
     /// Cache hits across all artifact kinds (sum of `by_kind` hits).
@@ -336,157 +248,165 @@ pub struct LibraryStats {
     pub stale_rejected: usize,
     /// Hit/miss breakdown per [`ArtifactKind`], indexed by discriminant.
     pub by_kind: [KindStats; ARTIFACT_KIND_COUNT],
-    /// Artifacts stored per lock shard, summed over the five cached maps.
-    pub shard_occupancy: [usize; SHARD_COUNT],
 }
 
 impl LibraryStats {
+    /// The stats of a per-kind breakdown: its totals are summed from it.
+    fn from_kinds(by_kind: [KindStats; ARTIFACT_KIND_COUNT]) -> LibraryStats {
+        let total = by_kind
+            .iter()
+            .fold(KindStats::default(), |acc, &k| acc.zip(k, |a, b| a + b));
+        LibraryStats {
+            hits: total.hits,
+            misses: total.misses,
+            disk_hits: total.disk_hits,
+            disk_misses: total.disk_misses,
+            stale_rejected: total.stale_rejected,
+            by_kind,
+        }
+    }
+
     /// Hit/miss counts for one artifact kind.
     pub fn kind(&self, kind: ArtifactKind) -> KindStats {
         self.by_kind[kind as usize]
     }
 
-    /// Counter delta `after − before` (saturating), keeping `after`'s
-    /// shard occupancy. Used by multi-corner flows sharing one persistent
-    /// library to report only the work a single corner added.
+    /// Counter delta `after − before` (saturating). Used by multi-corner
+    /// flows sharing one persistent library to report only the work a
+    /// single corner added.
     pub fn delta(after: &LibraryStats, before: &LibraryStats) -> LibraryStats {
+        Self::from_kinds(std::array::from_fn(|i| {
+            after.by_kind[i].zip(before.by_kind[i], usize::saturating_sub)
+        }))
+    }
+
+    /// Counter sum of several stats: the work of all corners of a run that
+    /// share one library, each given as its [`LibraryStats::delta`].
+    pub fn sum<'a>(stats: impl IntoIterator<Item = &'a LibraryStats>) -> LibraryStats {
         let mut by_kind = [KindStats::default(); ARTIFACT_KIND_COUNT];
-        for (i, ks) in by_kind.iter_mut().enumerate() {
-            let (a, b) = (after.by_kind[i], before.by_kind[i]);
-            ks.hits = a.hits.saturating_sub(b.hits);
-            ks.misses = a.misses.saturating_sub(b.misses);
-            ks.disk_hits = a.disk_hits.saturating_sub(b.disk_hits);
-            ks.disk_misses = a.disk_misses.saturating_sub(b.disk_misses);
-            ks.stale_rejected = a.stale_rejected.saturating_sub(b.stale_rejected);
+        for st in stats {
+            for (acc, &k) in by_kind.iter_mut().zip(&st.by_kind) {
+                *acc = acc.zip(k, |a, b| a + b);
+            }
         }
-        LibraryStats {
-            hits: after.hits.saturating_sub(before.hits),
-            misses: after.misses.saturating_sub(before.misses),
-            disk_hits: after.disk_hits.saturating_sub(before.disk_hits),
-            disk_misses: after.disk_misses.saturating_sub(before.disk_misses),
-            stale_rejected: after.stale_rejected.saturating_sub(before.stale_rejected),
-            by_kind,
-            shard_occupancy: after.shard_occupancy,
-        }
+        Self::from_kinds(by_kind)
     }
 }
 
-/// Number of independent lock shards per artifact map. Eight is plenty for
-/// the thread counts a desktop flow runs at; the map is keyed by cell
-/// identity, so distinct cells almost always land on distinct shards.
-pub const SHARD_COUNT: usize = 8;
-
-/// A cached artifact plus its provenance: loaded from an on-disk cache
-/// file, or characterized in this process.
-#[derive(Debug, Clone)]
-struct Entry<V> {
-    value: V,
-    from_disk: bool,
-}
-
-impl<V> Entry<V> {
-    fn fresh(value: V) -> Self {
-        Entry {
-            value,
-            from_disk: false,
-        }
-    }
-
-    fn disk(value: V) -> Self {
-        Entry {
-            value,
-            from_disk: true,
-        }
-    }
-}
-
-/// One key's place in a [`ShardedMap`]: empty until the key's first
+/// One key's place in a [`Store`]: empty until the key's first
 /// characterization succeeds (or a disk load fills it). `fill` is held
 /// while characterizing, so racing callers of the same key wait for the
 /// first one instead of repeating its work.
 #[derive(Debug)]
 struct Slot<V> {
-    value: OnceLock<V>,
+    /// The artifact, and whether it came off disk.
+    value: OnceLock<(V, bool)>,
     fill: Mutex<()>,
 }
 
-/// A hash-sharded `RwLock<HashMap>` of [`Slot`]s: readers of different
-/// shards never contend, and writers only lock the one shard their key
-/// hashes to, and only to add a slot. Every accessor sees filled slots
-/// only.
+/// The artifacts of one kind, keyed by their `sna-libcache-v1` key bytes,
+/// with the kind's counters and its image [`Codec`]. The map lock is held
+/// only to find or add a slot.
 #[derive(Debug)]
-struct ShardedMap<K, V> {
-    shards: Vec<RwLock<HashMap<K, Arc<Slot<V>>>>>,
+struct Store<V: 'static> {
+    codec: &'static Codec<V>,
+    slots: RwLock<HashMap<Vec<u8>, Arc<Slot<V>>>>,
+    hits: AtomicUsize,
+    misses: AtomicUsize,
+    disk_hits: AtomicUsize,
+    disk_misses: AtomicUsize,
+    stale_rejected: AtomicUsize,
 }
 
-impl<K: Hash + Eq, V> ShardedMap<K, V> {
-    fn new() -> Self {
-        ShardedMap {
-            shards: (0..SHARD_COUNT)
-                .map(|_| RwLock::new(HashMap::new()))
-                .collect(),
+impl<V> Store<V> {
+    fn new(codec: &'static Codec<V>) -> Self {
+        Store {
+            codec,
+            slots: RwLock::default(),
+            hits: AtomicUsize::default(),
+            misses: AtomicUsize::default(),
+            disk_hits: AtomicUsize::default(),
+            disk_misses: AtomicUsize::default(),
+            stale_rejected: AtomicUsize::default(),
         }
-    }
-
-    fn shard(&self, key: &K) -> &RwLock<HashMap<K, Arc<Slot<V>>>> {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[h.finish() as usize % SHARD_COUNT]
     }
 
     /// The slot for `key`, added empty if the key is new.
-    fn slot(&self, key: K) -> Arc<Slot<V>> {
-        let shard = self.shard(&key);
-        if let Some(slot) = shard
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&key)
-        {
+    fn slot(&self, key: Vec<u8>) -> Arc<Slot<V>> {
+        let slots = self.slots.read().unwrap_or_else(PoisonError::into_inner);
+        if let Some(slot) = slots.get(&key) {
             return Arc::clone(slot);
         }
-        let mut map = shard.write().unwrap_or_else(PoisonError::into_inner);
-        Arc::clone(map.entry(key).or_insert_with(|| {
+        drop(slots);
+        let mut slots = self.slots.write().unwrap_or_else(PoisonError::into_inner);
+        Arc::clone(slots.entry(key).or_insert_with(|| {
             Arc::new(Slot {
                 value: OnceLock::new(),
                 fill: Mutex::new(()),
             })
         }))
     }
+}
 
-    /// Fill `key` with `value` unless it is filled already.
-    fn insert_if_absent(&self, key: K, value: V) {
-        // An `Err` means the key was filled first; that value stays.
-        let _ = self.slot(key).value.set(value);
-    }
+/// A [`Store`] with its value type erased, so the library counts, sizes,
+/// saves and loads its five kinds alike.
+trait Section: Sync {
+    /// The kind's counters.
+    fn stats(&self) -> KindStats;
+    /// Number of filled entries.
+    fn len(&self) -> usize;
+    /// Every filled entry as `(key bytes, value bytes)`, in no particular
+    /// order, leaving out values an image does not hold.
+    fn encoded(&self) -> Vec<(Vec<u8>, Vec<u8>)>;
+    /// Validate one image entry and fill its key from it, unless the key
+    /// is filled already; `false` means the entry is stale.
+    fn load(&self, key: &[u8], val: &[u8]) -> bool;
+    /// Count one stale image entry.
+    fn reject(&self);
+}
 
-    fn shard_len(&self, i: usize) -> usize {
-        self.shards[i]
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .values()
-            .filter(|slot| slot.value.get().is_some())
-            .count()
+impl<V: Send + Sync> Section for Store<V> {
+    fn stats(&self) -> KindStats {
+        let get = |n: &AtomicUsize| n.load(Ordering::Relaxed);
+        KindStats {
+            hits: get(&self.hits),
+            misses: get(&self.misses),
+            disk_hits: get(&self.disk_hits),
+            disk_misses: get(&self.disk_misses),
+            stale_rejected: get(&self.stale_rejected),
+        }
     }
 
     fn len(&self) -> usize {
-        (0..SHARD_COUNT).map(|i| self.shard_len(i)).sum()
+        let slots = self.slots.read().unwrap_or_else(PoisonError::into_inner);
+        slots.values().filter(|s| s.value.get().is_some()).count()
     }
 
-    /// Visit every filled entry (shard by shard, under the read lock).
-    fn for_each(&self, mut f: impl FnMut(&K, &V)) {
-        for s in &self.shards {
-            for (k, slot) in s.read().unwrap_or_else(PoisonError::into_inner).iter() {
-                if let Some(v) = slot.value.get() {
-                    f(k, v);
-                }
-            }
+    fn encoded(&self) -> Vec<(Vec<u8>, Vec<u8>)> {
+        let slots = self.slots.read().unwrap_or_else(PoisonError::into_inner);
+        slots
+            .iter()
+            .filter_map(|(key, slot)| {
+                let (value, _) = slot.value.get()?;
+                Some((key.clone(), (self.codec.encode)(value)?))
+            })
+            .collect()
+    }
+
+    fn load(&self, key: &[u8], val: &[u8]) -> bool {
+        if !(self.codec.key_ok)(key) {
+            return false;
         }
+        let Some(value) = (self.codec.decode)(val) else {
+            return false;
+        };
+        // An `Err` means the key was filled first; that value stays.
+        let _ = self.slot(key.to_vec()).value.set((value, true));
+        true
     }
-}
 
-impl<K: Hash + Eq, V> Default for ShardedMap<K, V> {
-    fn default() -> Self {
-        Self::new()
+    fn reject(&self) {
+        self.stale_rejected.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -496,21 +416,29 @@ impl<K: Hash + Eq, V> Default for ShardedMap<K, V> {
 /// (wrap it in an `Arc` or borrow it from a scoped thread) and serves as
 /// the shared characterization cache of the parallel `sna-flow` driver.
 /// See [`cache`] for on-disk persistence (`sna-libcache-v1`).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct NoiseModelLibrary {
-    load_curves: ShardedMap<CellKey, Entry<Arc<LoadCurve>>>,
-    holding: ShardedMap<CellKey, Entry<f64>>,
-    prop_tables: ShardedMap<(CellKey, i32), Entry<Arc<PropagatedNoiseTable>>>,
-    thevenins: ShardedMap<TheveninKey, Entry<Arc<TheveninDriver>>>,
-    nrcs: ShardedMap<NrcKey, Entry<Arc<NoiseRejectionCurve>>>,
-    hit_counts: [AtomicUsize; ARTIFACT_KIND_COUNT],
-    miss_counts: [AtomicUsize; ARTIFACT_KIND_COUNT],
-    disk_hit_counts: [AtomicUsize; ARTIFACT_KIND_COUNT],
-    disk_miss_counts: [AtomicUsize; ARTIFACT_KIND_COUNT],
-    stale_counts: [AtomicUsize; ARTIFACT_KIND_COUNT],
+    load_curves: Store<Arc<LoadCurve>>,
+    holding: Store<f64>,
+    prop_tables: Store<Arc<PropagatedNoiseTable>>,
+    thevenins: Store<Arc<TheveninDriver>>,
+    nrcs: Store<Arc<NoiseRejectionCurve>>,
     /// Set once an on-disk cache file has been loaded (even an empty one):
     /// from then on every miss also counts as a `disk_miss`.
     disk_loaded: AtomicBool,
+}
+
+impl Default for NoiseModelLibrary {
+    fn default() -> Self {
+        NoiseModelLibrary {
+            load_curves: Store::new(&cache::LOAD_CURVES),
+            holding: Store::new(&cache::HOLDING_R),
+            prop_tables: Store::new(&cache::PROP_TABLES),
+            thevenins: Store::new(&cache::THEVENINS),
+            nrcs: Store::new(&cache::NRCS),
+            disk_loaded: AtomicBool::new(false),
+        }
+    }
 }
 
 impl NoiseModelLibrary {
@@ -519,42 +447,26 @@ impl NoiseModelLibrary {
         Self::default()
     }
 
+    /// The stores in [`ArtifactKind`] order, which is also the order of
+    /// an image's sections.
+    fn sections(&self) -> [&dyn Section; ARTIFACT_KIND_COUNT] {
+        [
+            &self.load_curves,
+            &self.holding,
+            &self.prop_tables,
+            &self.thevenins,
+            &self.nrcs,
+        ]
+    }
+
     /// Cache statistics so far (aggregated atomically across threads).
     pub fn stats(&self) -> LibraryStats {
-        let mut by_kind = [KindStats::default(); ARTIFACT_KIND_COUNT];
-        let mut total = LibraryStats::default();
-        for (i, ks) in by_kind.iter_mut().enumerate() {
-            ks.hits = self.hit_counts[i].load(Ordering::Relaxed);
-            ks.misses = self.miss_counts[i].load(Ordering::Relaxed);
-            ks.disk_hits = self.disk_hit_counts[i].load(Ordering::Relaxed);
-            ks.disk_misses = self.disk_miss_counts[i].load(Ordering::Relaxed);
-            ks.stale_rejected = self.stale_counts[i].load(Ordering::Relaxed);
-            total.hits += ks.hits;
-            total.misses += ks.misses;
-            total.disk_hits += ks.disk_hits;
-            total.disk_misses += ks.disk_misses;
-            total.stale_rejected += ks.stale_rejected;
-        }
-        let mut shard_occupancy = [0usize; SHARD_COUNT];
-        for (i, occ) in shard_occupancy.iter_mut().enumerate() {
-            *occ = self.load_curves.shard_len(i)
-                + self.holding.shard_len(i)
-                + self.prop_tables.shard_len(i)
-                + self.thevenins.shard_len(i)
-                + self.nrcs.shard_len(i);
-        }
-        total.by_kind = by_kind;
-        total.shard_occupancy = shard_occupancy;
-        total
+        LibraryStats::from_kinds(self.sections().map(|s| s.stats()))
     }
 
     /// Number of distinct artifacts stored.
     pub fn len(&self) -> usize {
-        self.load_curves.len()
-            + self.holding.len()
-            + self.prop_tables.len()
-            + self.thevenins.len()
-            + self.nrcs.len()
+        self.sections().iter().map(|s| s.len()).sum()
     }
 
     /// Whether nothing has been characterized yet.
@@ -562,38 +474,19 @@ impl NoiseModelLibrary {
         self.len() == 0
     }
 
-    fn record_hit(&self, kind: ArtifactKind, from_disk: bool) {
-        self.hit_counts[kind as usize].fetch_add(1, Ordering::Relaxed);
-        if from_disk {
-            self.disk_hit_counts[kind as usize].fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    fn record_miss(&self, kind: ArtifactKind) {
-        self.miss_counts[kind as usize].fetch_add(1, Ordering::Relaxed);
-        if self.disk_loaded.load(Ordering::Relaxed) {
-            self.disk_miss_counts[kind as usize].fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    fn record_stale(&self, kind: ArtifactKind) {
-        self.stale_counts[kind as usize].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The artifact `map` holds for `key`, characterized on first use. The
-    /// caller that finds the key empty characterizes it while holding the
-    /// key's `fill` lock (no shard lock) and counts the miss; callers that
-    /// race it wait on that lock, then find the value and count a hit. A
-    /// failed characterization leaves the key empty, so the next caller
-    /// retries it.
-    fn get_or_characterize<K: Hash + Eq, V: Clone>(
+    /// The artifact `store` holds for `key`, characterized on first use.
+    /// The caller that finds the key empty characterizes it while holding
+    /// the key's `fill` lock (not the map lock) and counts the miss;
+    /// callers that race it wait on that lock, then find the value and
+    /// count a hit. A failed characterization leaves the key empty, so the
+    /// next caller retries it.
+    fn get_or_characterize<V: Clone>(
         &self,
-        map: &ShardedMap<K, Entry<V>>,
-        kind: ArtifactKind,
-        key: K,
+        store: &Store<V>,
+        key: Vec<u8>,
         characterize: impl FnOnce() -> Result<V>,
     ) -> Result<V> {
-        let slot = map.slot(key);
+        let slot = store.slot(key);
         // An empty key may be mid-characterization by a racer: wait for it.
         // The lock guards no data, so a poisoned one is safe to take over.
         let _fill = slot
@@ -601,14 +494,20 @@ impl NoiseModelLibrary {
             .get()
             .is_none()
             .then(|| slot.fill.lock().unwrap_or_else(PoisonError::into_inner));
-        if let Some(hit) = slot.value.get() {
-            self.record_hit(kind, hit.from_disk);
-            return Ok(hit.value.clone());
+        if let Some((value, from_disk)) = slot.value.get() {
+            store.hits.fetch_add(1, Ordering::Relaxed);
+            if *from_disk {
+                store.disk_hits.fetch_add(1, Ordering::Relaxed);
+            }
+            return Ok(value.clone());
         }
-        self.record_miss(kind);
+        store.misses.fetch_add(1, Ordering::Relaxed);
+        if self.disk_loaded.load(Ordering::Relaxed) {
+            store.disk_misses.fetch_add(1, Ordering::Relaxed);
+        }
         let value = characterize()?;
         // A disk load may have filled the key meanwhile; its value wins.
-        Ok(slot.value.get_or_init(|| Entry::fresh(value)).value.clone())
+        Ok(slot.value.get_or_init(|| (value, false)).0.clone())
     }
 
     /// The Eq. (1) load curve for `(cell, mode)` at the grid in `opts`,
@@ -623,8 +522,8 @@ impl NoiseModelLibrary {
         mode: &DriverMode,
         opts: &CharacterizeOptions,
     ) -> Result<Arc<LoadCurve>> {
-        let key = CellKey::new(cell, mode, opts);
-        self.get_or_characterize(&self.load_curves, ArtifactKind::LoadCurve, key, || {
+        let key = cache::cell_key(cell, mode, opts);
+        self.get_or_characterize(&self.load_curves, key, || {
             let _t = phase_span(Phase::LoadCurve);
             Ok(Arc::new(characterize_load_curve(cell, mode, opts)?))
         })
@@ -641,8 +540,8 @@ impl NoiseModelLibrary {
         mode: &DriverMode,
         opts: &CharacterizeOptions,
     ) -> Result<f64> {
-        let key = CellKey::new(cell, mode, opts);
-        self.get_or_characterize(&self.holding, ArtifactKind::HoldingR, key, || {
+        let key = cache::cell_key(cell, mode, opts);
+        self.get_or_characterize(&self.holding, key, || {
             let _t = phase_span(Phase::HoldingR);
             holding_resistance(cell, mode, &opts.newton)
         })
@@ -665,18 +564,10 @@ impl NoiseModelLibrary {
         opts: &CharacterizeOptions,
     ) -> Result<Arc<PropagatedNoiseTable>> {
         let bucket = load_bucket(load_cap)?;
-        let key = (CellKey::new(cell, mode, opts), bucket);
-        self.get_or_characterize(&self.prop_tables, ArtifactKind::PropTable, key, || {
+        let key = cache::prop_key(cell, mode, opts, bucket);
+        self.get_or_characterize(&self.prop_tables, key, || {
             let _t = phase_span(Phase::PropTable);
-            let vdd = cell.tech.vdd;
-            let heights: Vec<f64> = [0.25, 0.45, 0.65, 0.85, 1.05]
-                .iter()
-                .map(|f| f * vdd)
-                .collect();
-            let widths: Vec<f64> = [150.0, 300.0, 600.0, 1200.0]
-                .iter()
-                .map(|w| w * PS)
-                .collect();
+            let (heights, widths) = prop_table::standard_grid(cell.tech.vdd);
             Ok(Arc::new(characterize_propagated_noise_with(
                 cell,
                 mode,
@@ -709,8 +600,8 @@ impl NoiseModelLibrary {
         load: &TheveninLoad,
         opts: &CharacterizeOptions,
     ) -> Result<Arc<TheveninDriver>> {
-        let key = TheveninKey::new(cell, rising, input_slew, load, opts);
-        self.get_or_characterize(&self.thevenins, ArtifactKind::Thevenin, key, || {
+        let key = cache::thevenin_key(cell, rising, input_slew, load, opts);
+        self.get_or_characterize(&self.thevenins, key, || {
             Ok(Arc::new(characterize_thevenin_with(
                 cell, rising, input_slew, load, opts,
             )?))
@@ -730,8 +621,8 @@ impl NoiseModelLibrary {
         widths: &[f64],
         solver: SolverKind,
     ) -> Result<Arc<NoiseRejectionCurve>> {
-        let key = NrcKey::new(receiver, input_low, widths, solver);
-        self.get_or_characterize(&self.nrcs, ArtifactKind::Nrc, key, || {
+        let key = cache::nrc_key(receiver, input_low, widths, solver);
+        self.get_or_characterize(&self.nrcs, key, || {
             Ok(Arc::new(characterize_nrc_with(
                 receiver, input_low, widths, solver,
             )?))
@@ -742,6 +633,8 @@ impl NoiseModelLibrary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sna_cells::CellType;
+    use sna_spice::units::PS;
 
     #[test]
     fn load_curve_cached_by_cell_and_mode() {
@@ -835,6 +728,146 @@ mod tests {
         let st = lib.stats();
         assert_eq!((st.hits, st.misses), (0, 2));
         assert_eq!(lib.len(), 2);
+    }
+
+    /// Every input one of the four key constructors reads.
+    #[derive(Clone)]
+    struct KeyInputs {
+        cell: Cell,
+        mode: DriverMode,
+        opts: CharacterizeOptions,
+        bucket: i32,
+        rising: bool,
+        slew: f64,
+        load: TheveninLoad,
+        input_low: bool,
+        widths: Vec<f64>,
+        solver: SolverKind,
+    }
+
+    impl KeyInputs {
+        fn new() -> Self {
+            let cell = Cell::nand2(Technology::cmos130(), 1.0);
+            KeyInputs {
+                mode: cell.holding_low_mode(),
+                cell,
+                opts: CharacterizeOptions::default(),
+                bucket: -170,
+                rising: true,
+                slew: 50.0 * PS,
+                load: TheveninLoad::Pi {
+                    c_near: 10e-15,
+                    r: 50.0,
+                    c_far: 20e-15,
+                },
+                input_low: true,
+                widths: vec![100.0 * PS, 200.0 * PS],
+                solver: SolverKind::Auto,
+            }
+        }
+
+        /// `[cell_key, prop_key, thevenin_key, nrc_key]`.
+        fn keys(&self) -> [Vec<u8>; 4] {
+            [
+                cache::cell_key(&self.cell, &self.mode, &self.opts),
+                cache::prop_key(&self.cell, &self.mode, &self.opts, self.bucket),
+                cache::thevenin_key(&self.cell, self.rising, self.slew, &self.load, &self.opts),
+                cache::nrc_key(&self.cell, self.input_low, &self.widths, self.solver),
+            ]
+        }
+    }
+
+    #[test]
+    fn key_bytes_differ_exactly_when_an_identifying_input_does() {
+        let base = KeyInputs::new();
+        // Equal inputs, built independently, give equal bytes.
+        assert_eq!(base.keys(), KeyInputs::new().keys());
+        type Edit = fn(&mut KeyInputs);
+        // Each edit changes one input; the mask says which of the four keys
+        // read it (cell, prop, thevenin, nrc).
+        let (all, drive_state, options) = (
+            [true; 4],
+            [true, true, false, false],
+            [true, true, true, false],
+        );
+        let (prop, fit, nrc) = (
+            [false, true, false, false],
+            [false, false, true, false],
+            [false, false, false, true],
+        );
+        let table: [(&str, Edit, [bool; 4]); 25] = [
+            ("tech name", |k| k.cell.tech.name.push('b'), all),
+            ("model parameter", |k| k.cell.tech.nmos.vt0 += 1e-3, all),
+            ("cell type", |k| k.cell.cell_type = CellType::Nor2, all),
+            ("strength", |k| k.cell.strength = 2.0, all),
+            ("noisy input", |k| k.mode.noisy_input = 1, drive_state),
+            (
+                "input levels",
+                |k| k.mode.input_levels[1] = 0.6,
+                drive_state,
+            ),
+            (
+                "input count",
+                |k| k.mode.input_levels.push(0.0),
+                drive_state,
+            ),
+            ("grid", |k| k.opts.grid = 9, options),
+            ("v_min_frac", |k| k.opts.v_min_frac = -0.2, options),
+            ("v_max_frac", |k| k.opts.v_max_frac = 1.2, options),
+            ("max_iter", |k| k.opts.newton.max_iter = 50, options),
+            ("vntol", |k| k.opts.newton.vntol = 1e-7, options),
+            ("reltol", |k| k.opts.newton.reltol = 1e-3, options),
+            ("abstol", |k| k.opts.newton.abstol = 1e-10, options),
+            ("max_step", |k| k.opts.newton.max_step = 0.2, options),
+            (
+                "newton solver",
+                |k| k.opts.newton.solver = SolverKind::Dense,
+                options,
+            ),
+            ("load bucket", |k| k.bucket = -169, prop),
+            ("rising", |k| k.rising = false, fit),
+            ("slew", |k| k.slew = 60.0 * PS, fit),
+            ("Π c_near", |k| k.load = pi(|p| p.0 = 11e-15), fit),
+            ("Π r", |k| k.load = pi(|p| p.1 = 60.0), fit),
+            ("Π c_far", |k| k.load = pi(|p| p.2 = 21e-15), fit),
+            ("NRC polarity", |k| k.input_low = false, nrc),
+            ("widths", |k| k.widths[1] = 250.0 * PS, nrc),
+            ("NRC solver", |k| k.solver = SolverKind::Sparse, nrc),
+        ];
+        for (name, edit, reads) in table {
+            let mut edited = base.clone();
+            edit(&mut edited);
+            for (i, (a, b)) in base.keys().iter().zip(edited.keys().iter()).enumerate() {
+                assert_eq!(a != b, reads[i], "{name}: key {i}");
+            }
+        }
+        // Lumped vs Π differ even when every other load word agrees.
+        let fit_key = |load: TheveninLoad| {
+            cache::thevenin_key(&base.cell, true, base.slew, &load, &base.opts)
+        };
+        assert_ne!(
+            fit_key(TheveninLoad::Lumped(10e-15)),
+            fit_key(TheveninLoad::Pi {
+                c_near: 10e-15,
+                r: 0.0,
+                c_far: 0.0
+            })
+        );
+        // A longer width grid is a different grid.
+        let mut longer = base.clone();
+        longer.widths.push(400.0 * PS);
+        assert_ne!(base.keys()[3], longer.keys()[3]);
+    }
+
+    /// The base Π load with one of `(c_near, r, c_far)` edited.
+    fn pi(edit: fn(&mut (f64, f64, f64))) -> TheveninLoad {
+        let mut p = (10e-15, 50.0, 20e-15);
+        edit(&mut p);
+        TheveninLoad::Pi {
+            c_near: p.0,
+            r: p.1,
+            c_far: p.2,
+        }
     }
 
     #[test]
@@ -965,7 +998,7 @@ mod tests {
     }
 
     #[test]
-    fn per_kind_breakdown_and_shard_occupancy() {
+    fn per_kind_breakdown_and_len() {
         let tech = Technology::cmos130();
         let cell = Cell::nand2(tech, 1.0);
         let mode = cell.holding_low_mode();
@@ -987,8 +1020,8 @@ mod tests {
             st.misses,
             st.by_kind.iter().map(|k| k.misses).sum::<usize>()
         );
-        // Two stored artifacts, wherever they hashed to.
-        assert_eq!(st.shard_occupancy.iter().sum::<usize>(), lib.len());
+        // Every miss stored one artifact.
+        assert_eq!(lib.len(), st.misses);
         assert_eq!(lib.len(), 2);
     }
 
@@ -1011,8 +1044,10 @@ mod tests {
         assert_eq!(d.kind(ArtifactKind::LoadCurve).hits, 1);
         assert_eq!(d.kind(ArtifactKind::LoadCurve).misses, 0);
         assert_eq!(d.kind(ArtifactKind::HoldingR).misses, 1);
-        // Occupancy is absolute (end state), not a delta.
-        assert_eq!(d.shard_occupancy.iter().sum::<usize>(), lib.len());
+        // The library holds both artifacts; the delta only counts work.
+        assert_eq!(lib.len(), 2);
+        // The counts before plus the delta are the counts after.
+        assert_eq!(LibraryStats::sum([&before, &d]), lib.stats());
     }
 
     #[test]
@@ -1080,7 +1115,7 @@ mod tests {
         let lib = NoiseModelLibrary::new();
         assert!(lib.load_curve(&cell, &mode, &opts).is_err());
         assert!(lib.is_empty());
-        assert_eq!(lib.stats().shard_occupancy, [0; SHARD_COUNT]);
+        assert_eq!(lib.len(), 0);
         assert_eq!(
             lib.to_cache_bytes(),
             NoiseModelLibrary::new().to_cache_bytes()

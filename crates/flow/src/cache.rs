@@ -24,6 +24,8 @@ use sna_core::library::cache::SCHEMA;
 use sna_core::library::NoiseModelLibrary;
 use sna_spice::error::{Error, Result};
 
+use crate::cli::{CliConfig, LogLevel};
+
 /// What loading a cache file did, for the CLI's stderr diagnostics.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheLoad {
@@ -102,6 +104,35 @@ pub fn save_library_cache(path: &Path, library: &NoiseModelLibrary) -> Result<us
         ))
     })?;
     Ok(bytes.len())
+}
+
+/// A library warmed from `cfg.library_cache`, if the run has one, with
+/// the load's diagnostic on stderr at the normal log level.
+pub fn open_configured_library(cfg: &CliConfig) -> NoiseModelLibrary {
+    let library = NoiseModelLibrary::new();
+    if let Some(path) = &cfg.library_cache {
+        let load = load_library_cache(Path::new(path), &library);
+        if cfg.log_level >= LogLevel::Normal {
+            eprintln!("{}", load.message);
+        }
+    }
+    library
+}
+
+/// Save `library` to `cfg.library_cache`, if the run has one. A failed
+/// save is a warning on stderr, not an error: the analysis it follows is
+/// already complete and correct.
+pub fn save_configured_library(cfg: &CliConfig, library: &NoiseModelLibrary) {
+    if let Some(path) = &cfg.library_cache {
+        match save_library_cache(Path::new(path), library) {
+            Ok(bytes) => {
+                if cfg.log_level >= LogLevel::Normal {
+                    eprintln!("library cache '{path}': wrote {bytes} bytes");
+                }
+            }
+            Err(e) => eprintln!("warning: {e}"),
+        }
+    }
 }
 
 #[cfg(test)]

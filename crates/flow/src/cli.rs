@@ -5,10 +5,12 @@
 //! two cannot drift apart. Lives in the library so the parser is unit
 //! tested; the binary is a thin `main`.
 
+use std::time::Duration;
+
 use sna_cells::Technology;
 use sna_spice::units::PS;
 
-use crate::corners::corner_by_name;
+use crate::corners::{corner_by_name, CornerReport};
 use crate::deck::{deck_to_csv, deck_to_json, deck_to_text, run_deck_file, DeckOptions};
 use crate::driver::FlowOptions;
 use crate::metrics::metrics_to_json;
@@ -56,7 +58,7 @@ pub struct CliConfig {
     pub strict: bool,
     /// Report format.
     pub format: Format,
-    /// Write an `sna-metrics-v1` JSON document here after the run.
+    /// Write an `sna-metrics-v2` JSON document here after the run.
     pub metrics: Option<String>,
     /// Write a chrome-trace (`chrome://tracing` / Perfetto) JSON here.
     pub profile: Option<String>,
@@ -170,9 +172,9 @@ OPTIONS:
                           or corrupt entries are rejected and recomputed),
                           rewritten after it. A warm second run performs
                           zero characterization solves.
-    --metrics <PATH>      write an sna-metrics-v1 JSON document (solver /
-                          dc / tran / sweep counters, cache breakdown,
-                          pool timings, phase tree) after the run
+    --metrics <PATH>      write an sna-metrics-v2 JSON document (solver /
+                          dc / tran / serve / frame counters, cache
+                          breakdown, pool timings, phase tree) after the run
     --profile <PATH>      write a chrome-trace JSON (load in
                           chrome://tracing or https://ui.perfetto.dev)
     --quiet               suppress all stderr diagnostics
@@ -316,13 +318,7 @@ pub fn run(cfg: &CliConfig) -> sna_spice::error::Result<String> {
         mm: sna_core::cluster::MacromodelOptions::default(),
         threads: cfg.threads,
     };
-    let library = sna_core::library::NoiseModelLibrary::new();
-    if let Some(path) = &cfg.library_cache {
-        let load = crate::cache::load_library_cache(std::path::Path::new(path), &library);
-        if cfg.log_level >= LogLevel::Normal {
-            eprintln!("{}", load.message);
-        }
-    }
+    let library = crate::cache::open_configured_library(cfg);
     let started = std::time::Instant::now();
     let corner_reports = crate::corners::run_corners_windowed(
         &corners,
@@ -333,18 +329,7 @@ pub fn run(cfg: &CliConfig) -> sna_spice::error::Result<String> {
         &windows,
     )?;
     let elapsed = started.elapsed();
-    if let Some(path) = &cfg.library_cache {
-        match crate::cache::save_library_cache(std::path::Path::new(path), &library) {
-            Ok(bytes) => {
-                if cfg.log_level >= LogLevel::Normal {
-                    eprintln!("library cache '{path}': wrote {bytes} bytes");
-                }
-            }
-            // A failed save must not fail the analysis: the report is
-            // already computed and correct.
-            Err(e) => eprintln!("warning: {e}"),
-        }
-    }
+    crate::cache::save_configured_library(cfg, &library);
     let total_clusters: usize = corner_reports.iter().map(|c| c.flow.report.total()).sum();
     if cfg.log_level >= LogLevel::Normal {
         for c in &corner_reports {
@@ -360,34 +345,7 @@ pub fn run(cfg: &CliConfig) -> sna_spice::error::Result<String> {
             total_clusters as f64 / elapsed.as_secs_f64().max(1e-9),
         );
     }
-    if cfg.metrics.is_some() || cfg.log_level == LogLevel::Verbose {
-        let snap = sna_obs::snapshot();
-        if cfg.log_level == LogLevel::Verbose {
-            let timed: Vec<String> = sna_obs::ALL_PHASES
-                .iter()
-                .filter_map(|&p| {
-                    let ns = snap.phase_nanos(p);
-                    (ns > 0).then(|| format!("{} {:.1}ms", p.name(), ns as f64 / 1e6))
-                })
-                .collect();
-            eprintln!("phases: {}", timed.join(", "));
-        }
-        if let Some(path) = &cfg.metrics {
-            let doc = metrics_to_json(&snap, &corner_reports, elapsed.as_secs_f64());
-            std::fs::write(path, doc).map_err(|e| {
-                sna_spice::error::Error::InvalidAnalysis(format!(
-                    "cannot write metrics file '{path}': {e}"
-                ))
-            })?;
-        }
-    }
-    if let Some(path) = &cfg.profile {
-        std::fs::write(path, sna_obs::render_chrome_trace()).map_err(|e| {
-            sna_spice::error::Error::InvalidAnalysis(format!(
-                "cannot write profile file '{path}': {e}"
-            ))
-        })?;
-    }
+    write_observability(cfg, &corner_reports, elapsed)?;
     let run = RunSummary {
         clusters: cfg.clusters,
         seed: cfg.seed,
@@ -407,11 +365,7 @@ pub fn run(cfg: &CliConfig) -> sna_spice::error::Result<String> {
 /// `--profile`) with the synthetic flow; the stdout report stays a pure
 /// function of the deck and options.
 fn run_deck_mode(cfg: &CliConfig, deck: &str) -> sna_spice::error::Result<String> {
-    let threads = if cfg.threads == 0 {
-        crate::pool::auto_threads()
-    } else {
-        cfg.threads
-    };
+    let threads = crate::pool::resolve_threads(cfg.threads);
     let opts = DeckOptions {
         threshold: cfg.threshold,
         victim: cfg.victim.clone(),
@@ -432,6 +386,29 @@ fn run_deck_mode(cfg: &CliConfig, deck: &str) -> sna_spice::error::Result<String
             threads,
         );
     }
+    write_observability(cfg, &[], elapsed)?;
+    Ok(match cfg.format {
+        Format::Text => deck_to_text(&report),
+        Format::Json => deck_to_json(&report),
+        Format::Csv => deck_to_csv(&report),
+    })
+}
+
+/// A finished run's out-of-band outputs: the `--verbose` phase line on
+/// stderr and the `--metrics` and `--profile` files. `corners` is empty
+/// for a deck run.
+fn write_observability(
+    cfg: &CliConfig,
+    corners: &[CornerReport],
+    elapsed: Duration,
+) -> sna_spice::error::Result<()> {
+    let write = |path: &str, what: &str, contents: String| {
+        std::fs::write(path, contents).map_err(|e| {
+            sna_spice::error::Error::InvalidAnalysis(format!(
+                "cannot write {what} file '{path}': {e}"
+            ))
+        })
+    };
     if cfg.metrics.is_some() || cfg.log_level == LogLevel::Verbose {
         let snap = sna_obs::snapshot();
         if cfg.log_level == LogLevel::Verbose {
@@ -445,26 +422,14 @@ fn run_deck_mode(cfg: &CliConfig, deck: &str) -> sna_spice::error::Result<String
             eprintln!("phases: {}", timed.join(", "));
         }
         if let Some(path) = &cfg.metrics {
-            let doc = metrics_to_json(&snap, &[], elapsed.as_secs_f64());
-            std::fs::write(path, doc).map_err(|e| {
-                sna_spice::error::Error::InvalidAnalysis(format!(
-                    "cannot write metrics file '{path}': {e}"
-                ))
-            })?;
+            let doc = metrics_to_json(&snap, corners, elapsed.as_secs_f64());
+            write(path, "metrics", doc)?;
         }
     }
     if let Some(path) = &cfg.profile {
-        std::fs::write(path, sna_obs::render_chrome_trace()).map_err(|e| {
-            sna_spice::error::Error::InvalidAnalysis(format!(
-                "cannot write profile file '{path}': {e}"
-            ))
-        })?;
+        write(path, "profile", sna_obs::render_chrome_trace())?;
     }
-    Ok(match cfg.format {
-        Format::Text => deck_to_text(&report),
-        Format::Json => deck_to_json(&report),
-        Format::Csv => deck_to_csv(&report),
-    })
+    Ok(())
 }
 
 #[cfg(test)]

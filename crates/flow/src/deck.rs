@@ -18,7 +18,7 @@
 use std::path::Path;
 
 use sna_core::sna::Verdict;
-use sna_obs::Metric;
+use sna_obs::{json_escape, Metric};
 use sna_spice::devices::SourceWaveform;
 use sna_spice::error::{Error, Result};
 use sna_spice::netlist::{Circuit, Element};
@@ -26,7 +26,7 @@ use sna_spice::parser::{parse_deck_file, ParsedDeck, SnaCard};
 use sna_spice::tran::{transient_with, TranWorkspace};
 use sna_spice::waveform::GlitchMetrics;
 
-use crate::output::{esc, num, verdict_tag};
+use crate::output::{num, verdict_tag};
 use crate::pool::parallel_map_ordered;
 
 /// Knobs for deck mode, mirroring the subset of CLI flags that apply.
@@ -372,8 +372,11 @@ pub fn deck_to_text(report: &DeckReport) -> String {
 pub fn deck_to_json(report: &DeckReport) -> String {
     let mut out = String::new();
     out.push_str("{\n  \"schema\": \"sna-deck-report-v1\",\n");
-    out.push_str(&format!("  \"deck\": \"{}\",\n", esc(&report.deck)));
-    out.push_str(&format!("  \"title\": \"{}\",\n", esc(&report.title)));
+    out.push_str(&format!("  \"deck\": \"{}\",\n", json_escape(&report.deck)));
+    out.push_str(&format!(
+        "  \"title\": \"{}\",\n",
+        json_escape(&report.title)
+    ));
     out.push_str(&format!("  \"nodes\": {},\n", report.nodes));
     out.push_str(&format!("  \"elements\": {},\n", report.elements));
     out.push_str(&format!(
@@ -390,14 +393,14 @@ pub fn deck_to_json(report: &DeckReport) -> String {
             out.push(',');
         }
         out.push_str("\n    {");
-        out.push_str(&format!("\"name\": \"{}\", ", esc(&f.name)));
-        out.push_str(&format!("\"victim\": \"{}\", ", esc(&f.victim)));
+        out.push_str(&format!("\"name\": \"{}\", ", json_escape(&f.name)));
+        out.push_str(&format!("\"victim\": \"{}\", ", json_escape(&f.victim)));
         out.push_str("\"aggressors\": [");
         for (j, a) in f.aggressors.iter().enumerate() {
             if j > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&format!("\"{}\"", esc(a)));
+            out.push_str(&format!("\"{}\"", json_escape(a)));
         }
         out.push_str("], ");
         out.push_str(&format!("\"threshold_v\": {}, ", num(f.threshold)));
@@ -421,8 +424,8 @@ pub fn deck_to_json(report: &DeckReport) -> String {
         }
         out.push_str(&format!(
             "\n    {{\"name\": \"{}\", \"reason\": \"{}\"}}",
-            esc(&s.name),
-            esc(&s.reason)
+            json_escape(&s.name),
+            json_escape(&s.reason)
         ));
     }
     if report.skipped.is_empty() {

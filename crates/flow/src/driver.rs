@@ -17,7 +17,7 @@ use sna_core::sna::{analyze_cluster, Design, NoiseReport, SkippedCluster, SnaOpt
 use sna_obs::{phase_span, trace_span, Phase};
 use sna_spice::error::Result;
 
-use crate::pool::{auto_threads, parallel_map_ordered_metered, PoolMetrics};
+use crate::pool::{parallel_map_ordered_metered, resolve_threads, PoolMetrics};
 
 /// Controls for a parallel flow run.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -82,12 +82,7 @@ pub fn run_sna_parallel_with(
     let _tr = trace_span("flow", "run_sna_parallel");
     // Mirror the pool's clamp so FlowReport::threads reports the worker
     // count actually used, not the requested one.
-    let threads = if opts.threads == 0 {
-        auto_threads()
-    } else {
-        opts.threads
-    }
-    .clamp(1, design.clusters.len().max(1));
+    let threads = resolve_threads(opts.threads).clamp(1, design.clusters.len().max(1));
     // Strict-mode early exit: once any cluster fails, analyzing clusters
     // *after* it (in design order) is wasted work — the run will abort
     // with the first design-order error regardless. Workers keep analyzing

@@ -1,4 +1,4 @@
-//! The `sna-metrics-v1` document: the run's execution counters as JSON.
+//! The `sna-metrics-v2` document: the run's execution counters as JSON.
 //!
 //! Everything here is **out-of-band** diagnostics: the noise report is a
 //! pure function of the design and options, and stays byte-identical
@@ -10,24 +10,27 @@
 //! Sections:
 //!
 //! * `solver` / `dc` / `tran` — the `sna-obs` counters of the three
-//!   instrumented simulator layers; `sweep` keeps its five keys at 0 until
-//!   the next schema version drops the section,
+//!   instrumented simulator layers,
 //! * `serve` — `sna serve` session counters (queries handled, clusters
 //!   re-analyzed, memoized results reused),
 //! * `cache` — per-artifact-kind hit/miss breakdown of the shared
 //!   characterization cache (including `disk_hits`/`disk_misses`/
 //!   `stale_rejected` provenance from a `--library-cache` file),
-//!   aggregated across corners, plus per-shard occupancy,
+//!   aggregated across corners,
 //! * `pool` — per-corner worker-pool execution metrics (busy time, job
 //!   counts, chunk counts, per-cluster wall times),
 //! * `phases` — the hierarchical phase-tree timings (parent → child edges
 //!   with call counts and total nanoseconds).
+//!
+//! v2 dropped v1's counters that always read 0 (`tran.accepted_steps`,
+//! `tran.rejected_steps` and the whole `sweep` section) and the cache's
+//! per-shard occupancy array.
 
-use sna_core::library::{LibraryStats, ALL_ARTIFACT_KINDS, SHARD_COUNT};
-use sna_obs::{Metric, Snapshot};
+use sna_core::library::{LibraryStats, ALL_ARTIFACT_KINDS};
+use sna_obs::{json_escape, Metric, Snapshot};
 
 use crate::corners::CornerReport;
-use crate::output::{esc, num};
+use crate::output::num;
 
 fn ms(nanos: u64) -> String {
     num(nanos as f64 / 1e6)
@@ -45,27 +48,9 @@ fn section(out: &mut String, snap: &Snapshot, name: &str, metrics: &[Metric], la
 }
 
 fn cache_section(out: &mut String, corners: &[CornerReport]) {
-    // Aggregate across corners: each corner's `cache` is the counter delta
-    // it added to the (shared, possibly disk-warmed) library, so counts
-    // sum exactly. Shard occupancy is an absolute end-of-corner snapshot;
-    // the last corner's is the library's final state.
-    let mut total = LibraryStats::default();
-    for c in corners {
-        let st = &c.flow.cache;
-        total.hits += st.hits;
-        total.misses += st.misses;
-        total.disk_hits += st.disk_hits;
-        total.disk_misses += st.disk_misses;
-        total.stale_rejected += st.stale_rejected;
-        for (acc, k) in total.by_kind.iter_mut().zip(st.by_kind.iter()) {
-            acc.hits += k.hits;
-            acc.misses += k.misses;
-            acc.disk_hits += k.disk_hits;
-            acc.disk_misses += k.disk_misses;
-            acc.stale_rejected += k.stale_rejected;
-        }
-        total.shard_occupancy = st.shard_occupancy;
-    }
+    // Each corner's `cache` is the counter delta it added to the (shared,
+    // possibly disk-warmed) library, so the counts sum exactly.
+    let total = LibraryStats::sum(corners.iter().map(|c| &c.flow.cache));
     out.push_str("  \"cache\": {\n");
     out.push_str(&format!(
         "    \"hits\": {}, \"misses\": {}, \"disk_hits\": {}, \"disk_misses\": {}, \"stale_rejected\": {},\n",
@@ -88,11 +73,7 @@ fn cache_section(out: &mut String, corners: &[CornerReport]) {
         })
         .collect();
     out.push_str(&rows.join(", "));
-    out.push_str("},\n");
-    let occ: Vec<String> = (0..SHARD_COUNT)
-        .map(|i| total.shard_occupancy[i].to_string())
-        .collect();
-    out.push_str(&format!("    \"shard_occupancy\": [{}]\n", occ.join(", ")));
+    out.push_str("}\n");
     out.push_str("  },\n");
 }
 
@@ -104,7 +85,7 @@ fn pool_section(out: &mut String, corners: &[CornerReport]) {
             let p = &c.flow.pool;
             let mut s = String::new();
             s.push_str("    {\n");
-            s.push_str(&format!("      \"tech\": \"{}\",\n", esc(&c.tech)));
+            s.push_str(&format!("      \"tech\": \"{}\",\n", json_escape(&c.tech)));
             s.push_str(&format!(
                 "      \"workers\": {}, \"wall_ms\": {},\n",
                 c.flow.threads,
@@ -135,7 +116,13 @@ fn pool_section(out: &mut String, corners: &[CornerReport]) {
                 .flow
                 .cluster_wall_nanos
                 .iter()
-                .map(|(name, ns)| format!("{{\"name\": \"{}\", \"ms\": {}}}", esc(name), ms(*ns)))
+                .map(|(name, ns)| {
+                    format!(
+                        "{{\"name\": \"{}\", \"ms\": {}}}",
+                        json_escape(name),
+                        ms(*ns)
+                    )
+                })
                 .collect();
             s.push_str(&format!("      \"clusters\": [{}]\n", clusters.join(", ")));
             s.push_str("    }");
@@ -169,7 +156,7 @@ fn phases_section(out: &mut String, snap: &Snapshot) {
     out.push_str("\n  ]\n");
 }
 
-/// Render the full `sna-metrics-v1` document.
+/// Render the full `sna-metrics-v2` document.
 ///
 /// `snap` is the aggregated observability snapshot (usually
 /// [`sna_obs::snapshot()`] taken after the run), `corners` the per-corner
@@ -177,7 +164,7 @@ fn phases_section(out: &mut String, snap: &Snapshot) {
 pub fn metrics_to_json(snap: &Snapshot, corners: &[CornerReport], elapsed_s: f64) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str("  \"schema\": \"sna-metrics-v1\",\n");
+    out.push_str("  \"schema\": \"sna-metrics-v2\",\n");
     out.push_str(&format!("  \"threads\": {},\n", snap.threads));
     out.push_str(&format!("  \"elapsed_s\": {},\n", num(elapsed_s)));
     section(
@@ -216,21 +203,6 @@ pub fn metrics_to_json(snap: &Snapshot, corners: &[CornerReport], elapsed_s: f64
             Metric::TranCalls,
             Metric::TranSteps,
             Metric::TranNewtonIterations,
-            Metric::TranAcceptedSteps,
-            Metric::TranRejectedSteps,
-        ],
-        false,
-    );
-    section(
-        &mut out,
-        snap,
-        "sweep",
-        &[
-            Metric::SweepCalls,
-            Metric::SweepLanes,
-            Metric::SweepLaneNewtonIterations,
-            Metric::SweepSerialFallbacks,
-            Metric::SweepSteps,
         ],
         false,
     );
@@ -297,13 +269,12 @@ mod tests {
         let corners = [sample_corner()];
         let j = metrics_to_json(&snap, &corners, 1.25);
         for key in [
-            "\"schema\": \"sna-metrics-v1\"",
+            "\"schema\": \"sna-metrics-v2\"",
             "\"threads\":",
             "\"elapsed_s\": 1.25",
             "\"solver\":",
             "\"dc\":",
             "\"tran\":",
-            "\"sweep\":",
             "\"serve\":",
             "\"queries\":",
             "\"frame\":",
@@ -318,7 +289,6 @@ mod tests {
             "\"load_curve\":",
             "\"thevenin\":",
             "\"nrc\":",
-            "\"shard_occupancy\":",
             "\"pool\":",
             "\"worker_busy_ms\": [1.5, 2.5]",
             "\"clusters\": [{\"name\": \"net000\", \"ms\": 0.5}]",

@@ -8,6 +8,7 @@
 //! checked with `diff`.
 
 use sna_core::sna::{NoiseReport, Verdict};
+use sna_obs::json_escape;
 
 use crate::corners::CornerReport;
 
@@ -24,23 +25,6 @@ pub struct RunSummary {
     pub margin_band: f64,
     /// Per-corner results.
     pub corners: Vec<CornerReport>,
-}
-
-/// JSON string escaping per RFC 8259 (quotes, backslashes, control chars).
-pub(crate) fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// A float as a JSON value: shortest round-trip form, `null` for the
@@ -81,7 +65,7 @@ fn json_findings(report: &NoiseReport, indent: &str) -> String {
         rows.push(format!(
             "{indent}{{\"net\": \"{}\", \"verdict\": \"{}\", \"peak_v\": {}, \"width_s\": {}, \
              \"area_vs\": {}, \"margin_v\": {}, \"constrained_margin_v\": {}}}",
-            esc(&f.name),
+            json_escape(&f.name),
             verdict_tag(f.verdict),
             num(f.receiver_metrics.peak),
             num(f.receiver_metrics.width),
@@ -98,8 +82,8 @@ fn json_skipped(report: &NoiseReport, indent: &str) -> String {
     for s in &report.skipped {
         rows.push(format!(
             "{indent}{{\"net\": \"{}\", \"reason\": \"{}\"}}",
-            esc(&s.name),
-            esc(&s.reason)
+            json_escape(&s.name),
+            json_escape(&s.reason)
         ));
     }
     rows.join(",\n")
@@ -125,7 +109,7 @@ pub fn to_json(run: &RunSummary) -> String {
             let r = &c.flow.report;
             let mut s = String::new();
             s.push_str("    {\n");
-            s.push_str(&format!("      \"tech\": \"{}\",\n", esc(&c.tech)));
+            s.push_str(&format!("      \"tech\": \"{}\",\n", json_escape(&c.tech)));
             s.push_str(&format!("      \"pass\": {},\n", r.count(Verdict::Pass)));
             s.push_str(&format!(
                 "      \"warn\": {},\n",

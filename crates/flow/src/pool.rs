@@ -165,6 +165,16 @@ pub fn auto_threads() -> usize {
         .unwrap_or(1)
 }
 
+/// The worker count a run asks for as `requested`: `0` means
+/// [`auto_threads`].
+pub fn resolve_threads(requested: usize) -> usize {
+    if requested == 0 {
+        auto_threads()
+    } else {
+        requested
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -40,16 +40,16 @@ use sna_core::cluster::{ClusterSpec, MacromodelOptions, SwitchingWindow};
 use sna_core::library::NoiseModelLibrary;
 use sna_core::nrc::NoiseRejectionCurve;
 use sna_core::sna::{analyze_cluster, ClusterFinding, Design, SnaOptions};
-use sna_obs::Metric;
+use sna_obs::{json_escape, Metric};
 use sna_spice::error::{Error, Result};
 use sna_spice::units::PS;
 
-use crate::cache::{load_library_cache, save_library_cache};
+use crate::cache::{open_configured_library, save_configured_library};
 use crate::cli::{CliConfig, LogLevel};
 use crate::corners::{corner_by_name, NRC_WIDTHS};
 use crate::driver::FlowOptions;
-use crate::output::{esc, verdict_tag};
-use crate::pool::{auto_threads, parallel_map_ordered};
+use crate::output::verdict_tag;
+use crate::pool::{parallel_map_ordered, resolve_threads};
 
 // ---------------------------------------------------------------------------
 // Minimal JSON reader (the vendored serde is a no-op marker; queries are
@@ -329,7 +329,7 @@ pub struct ServeState {
 }
 
 fn err_json(msg: &str) -> String {
-    format!("{{\"ok\": false, \"error\": \"{}\"}}", esc(msg))
+    format!("{{\"ok\": false, \"error\": \"{}\"}}", json_escape(msg))
 }
 
 /// Parse a FRAME window edit value: `[t_min, t_max]` sets, `null` clears.
@@ -371,13 +371,7 @@ impl ServeState {
     pub fn new(cfg: &CliConfig) -> Result<ServeState> {
         let name = cfg.corners.first().map(String::as_str).unwrap_or("cmos130");
         let tech = corner_by_name(name)?;
-        let library = NoiseModelLibrary::new();
-        if let Some(path) = &cfg.library_cache {
-            let load = load_library_cache(Path::new(path), &library);
-            if cfg.log_level >= LogLevel::Normal {
-                eprintln!("{}", load.message);
-            }
-        }
+        let library = open_configured_library(cfg);
         let opts = FlowOptions {
             sna: SnaOptions {
                 align_worst_case: cfg.worst_case,
@@ -492,12 +486,7 @@ impl ServeState {
         }
 
         // Re-analyze only the stale ones, on the order-preserving pool.
-        let threads = if self.opts.threads == 0 {
-            auto_threads()
-        } else {
-            self.opts.threads
-        }
-        .clamp(1, stale.len().max(1));
+        let threads = resolve_threads(self.opts.threads).clamp(1, stale.len().max(1));
         let jobs: Vec<usize> = stale.clone();
         let design = &self.design;
         let nrc = &self.nrc;
@@ -543,7 +532,7 @@ impl ServeState {
                 };
                 format!(
                     "{{\"net\": \"{}\", \"verdict\": \"{}\", \"margin\": {:.6}, \"peak\": {:.6}, \"width\": {:.6e}{}}}",
-                    esc(name),
+                    json_escape(name),
                     verdict_tag(f.verdict),
                     f.margin,
                     f.receiver_metrics.peak,
@@ -714,7 +703,7 @@ impl ServeState {
         self.design.clusters[i].spec = spec;
         format!(
             "{{\"ok\": true, \"cluster\": \"{}\", \"edited_fields\": {edited}}}",
-            esc(name)
+            json_escape(name)
         )
     }
 
@@ -780,16 +769,7 @@ pub fn run_serve(cfg: &CliConfig) -> Result<()> {
             break;
         }
     }
-    if let Some(path) = &cfg.library_cache {
-        match save_library_cache(Path::new(path), state.library()) {
-            Ok(bytes) => {
-                if cfg.log_level >= LogLevel::Normal {
-                    eprintln!("library cache '{path}': wrote {bytes} bytes");
-                }
-            }
-            Err(e) => eprintln!("warning: {e}"),
-        }
-    }
+    save_configured_library(cfg, state.library());
     let (q, r, m) = state.counters();
     if cfg.log_level >= LogLevel::Normal {
         eprintln!("serve: {q} queries, {r} clusters re-analyzed, {m} memo hits");

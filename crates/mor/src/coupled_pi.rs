@@ -99,8 +99,9 @@ impl CoupledPiModel {
         Ok(fars)
     }
 
-    /// Total capacitance (ground + coupling) seen at port `i` — preserved
-    /// from the full network's first moment.
+    /// Total capacitance (ground + coupling) seen at port `i`: the oracle
+    /// that the full network's first moment is preserved.
+    #[cfg(test)]
     pub fn total_cap_at(&self, i: usize) -> f64 {
         let own = self.ports[i].total_cap();
         let cpl: f64 = self

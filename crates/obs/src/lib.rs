@@ -1,8 +1,8 @@
 //! # sna-obs — zero-dependency observability for the SNA engine
 //!
 //! The engine spans three performance-critical layers (the dense/sparse
-//! LU solver under DC and transient analyses, the sharded
-//! characterization cache, and the order-preserving worker pool). This
+//! LU solver under DC and transient analyses, the characterization
+//! cache, and the order-preserving worker pool). This
 //! crate is the shared instrumentation substrate they all report into:
 //!
 //! * [`Metric`] — a fixed vocabulary of monotonic counters (factor vs
@@ -21,6 +21,8 @@
 //! * [`trace_span`] — coarse-grained chrome-trace events (cluster /
 //!   characterization granularity, never inner solver loops), exported by
 //!   [`render_chrome_trace`] for `chrome://tracing` / Perfetto.
+//! * [`json_escape`] — the JSON string escaper every document writer
+//!   shares.
 //! * [`snapshot`] / [`local_snapshot`] — aggregate or per-thread counter
 //!   snapshots; tests take deltas of their own thread's recorder so
 //!   concurrently running tests cannot interfere.
@@ -31,11 +33,13 @@
 
 #![warn(missing_docs)]
 
+mod json;
 mod metric;
 mod registry;
 mod span;
 mod trace;
 
+pub use json::json_escape;
 pub use metric::{Metric, ALL_METRICS, METRIC_COUNT};
 pub use registry::{
     count, local_snapshot, snapshot, CounterSnapshot, LocalRecorder, MetricsRegistry, PhaseEdge,

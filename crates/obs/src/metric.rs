@@ -40,28 +40,15 @@ pub enum Metric {
     TranSteps,
     /// Newton iterations inside transient steps (0 for linear circuits).
     TranNewtonIterations,
-    /// Always 0: kept only so the `sna-metrics-v1` document keeps its
-    /// `accepted_steps` key until the next schema version drops it (no
-    /// transient runs a step-size controller).
-    TranAcceptedSteps,
-    /// Always 0: kept only so the `sna-metrics-v1` document keeps its
-    /// `rejected_steps` key until the next schema version drops it.
-    TranRejectedSteps,
-    /// Always 0, like the four `Sweep*` counters after it: no sweep runs
-    /// any more (characterization grids run on one `TranWorkspace`, whose
-    /// work counts in the solver, DC and transient counters). Kept only so
-    /// the `sna-metrics-v1` document keeps its `sweep` section until the
-    /// next schema version drops it.
-    SweepCalls,
-    /// Always 0 (see [`Metric::SweepCalls`]); the section's `lanes` key.
+    /// Always 0, like the two `Sweep*` counters after it: no sweep runs any
+    /// more (characterization grids run on one `TranWorkspace`, whose work
+    /// counts in the solver, DC and transient counters), and no document
+    /// reports them. The three stay only because the benchmark
+    /// (`perfbench/src/layers.rs`) names them.
     SweepLanes,
-    /// Always 0 (see [`Metric::SweepCalls`]); the section's
-    /// `lane_newton_iterations` key.
-    SweepLaneNewtonIterations,
-    /// Always 0 (see [`Metric::SweepCalls`]); the section's
-    /// `serial_fallbacks` key.
+    /// Always 0; kept only for the benchmark (see [`Metric::SweepLanes`]).
     SweepSerialFallbacks,
-    /// Always 0 (see [`Metric::SweepCalls`]); the section's `steps` key.
+    /// Always 0; kept only for the benchmark (see [`Metric::SweepLanes`]).
     SweepSteps,
     /// Queries handled by an `sna serve` session (any command).
     ServeQueries,
@@ -83,7 +70,7 @@ pub enum Metric {
 }
 
 /// Number of [`Metric`] variants; recorders are `[AtomicU64; METRIC_COUNT]`.
-pub const METRIC_COUNT: usize = 30;
+pub const METRIC_COUNT: usize = 26;
 
 /// Every metric, in index order. Reports iterate this so the document and
 /// the enum can never drift apart.
@@ -103,11 +90,7 @@ pub const ALL_METRICS: [Metric; METRIC_COUNT] = [
     Metric::TranCalls,
     Metric::TranSteps,
     Metric::TranNewtonIterations,
-    Metric::TranAcceptedSteps,
-    Metric::TranRejectedSteps,
-    Metric::SweepCalls,
     Metric::SweepLanes,
-    Metric::SweepLaneNewtonIterations,
     Metric::SweepSerialFallbacks,
     Metric::SweepSteps,
     Metric::ServeQueries,
@@ -121,7 +104,7 @@ pub const ALL_METRICS: [Metric; METRIC_COUNT] = [
 ];
 
 impl Metric {
-    /// Stable snake_case name used in `sna-metrics-v1` documents.
+    /// Stable snake_case name used in `sna-metrics-v2` documents.
     pub fn name(self) -> &'static str {
         match self {
             Metric::SolverDenseSelected => "dense_selected",
@@ -139,11 +122,7 @@ impl Metric {
             Metric::TranCalls => "calls",
             Metric::TranSteps => "steps",
             Metric::TranNewtonIterations => "newton_iterations",
-            Metric::TranAcceptedSteps => "accepted_steps",
-            Metric::TranRejectedSteps => "rejected_steps",
-            Metric::SweepCalls => "calls",
             Metric::SweepLanes => "lanes",
-            Metric::SweepLaneNewtonIterations => "lane_newton_iterations",
             Metric::SweepSerialFallbacks => "serial_fallbacks",
             Metric::SweepSteps => "steps",
             Metric::ServeQueries => "queries",

@@ -83,7 +83,7 @@ pub const ALL_PHASES: [Phase; PHASE_COUNT] = [
 pub(crate) const ROOT: u8 = PHASE_COUNT as u8;
 
 impl Phase {
-    /// Stable snake_case name used in `sna-metrics-v1` documents and the
+    /// Stable snake_case name used in `sna-metrics-v2` documents and the
     /// chrome-trace export.
     pub fn name(self) -> &'static str {
         match self {

@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-use crate::registry;
+use crate::{json_escape, registry};
 
 static TRACING: AtomicBool = AtomicBool::new(false);
 
@@ -96,19 +96,6 @@ pub fn take_trace_events() -> Vec<TraceEvent> {
     std::mem::take(&mut *events().lock().expect("trace buffer poisoned"))
 }
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Render the current event buffer (without draining it) as a Trace
 /// Event Format document: load the file in `chrome://tracing` or drop it
 /// onto <https://ui.perfetto.dev>.
@@ -119,8 +106,8 @@ pub fn render_chrome_trace() -> String {
         let comma = if i + 1 < guard.len() { "," } else { "" };
         out.push_str(&format!(
             "  {{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{}}}{}\n",
-            esc(&ev.name),
-            esc(ev.cat),
+            json_escape(&ev.name),
+            json_escape(ev.cat),
             ev.ts_us,
             ev.dur_us,
             ev.tid,

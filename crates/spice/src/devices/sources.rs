@@ -141,11 +141,6 @@ impl SourceWaveform {
         }
     }
 
-    /// Value used by DC analysis (the source at `t = 0`).
-    pub fn dc_value(&self) -> f64 {
-        self.eval(0.0)
-    }
-
     /// Latest time at which this source still changes; `0` for DC.
     /// Transient analyses may use this to sanity-check their horizon.
     pub fn last_event_time(&self) -> f64 {
@@ -246,7 +241,6 @@ mod tests {
         assert_eq!(r.eval(1e-9), 0.0);
         assert!((r.eval(1.05e-9) - 0.6).abs() < 1e-12);
         assert_eq!(r.eval(2e-9), 1.2);
-        assert_eq!(r.dc_value(), 0.0);
         assert!((r.last_event_time() - 1.1e-9).abs() < 1e-21);
     }
 

@@ -53,11 +53,6 @@ impl Fnv {
         self.write_u64(v.to_bits());
     }
 
-    /// Mix a `bool`.
-    pub fn write_bool(&mut self, v: bool) {
-        self.write_u8(u8::from(v));
-    }
-
     /// Mix a string, length-prefixed so concatenations can't alias.
     pub fn write_str(&mut self, s: &str) {
         self.write_usize(s.len());

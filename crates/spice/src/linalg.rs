@@ -164,28 +164,6 @@ impl DenseMatrix {
         self.data.copy_from_slice(&other.data);
     }
 
-    /// Matrix-matrix product `A·B`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch.
-    pub fn mul_mat(&self, b: &DenseMatrix) -> DenseMatrix {
-        assert_eq!(self.n_cols, b.n_rows);
-        let mut c = DenseMatrix::zeros(self.n_rows, b.n_cols);
-        for i in 0..self.n_rows {
-            for k in 0..self.n_cols {
-                let aik = self[(i, k)];
-                if aik == 0.0 {
-                    continue;
-                }
-                for j in 0..b.n_cols {
-                    c[(i, j)] += aik * b[(k, j)];
-                }
-            }
-        }
-        c
-    }
-
     /// Scaled accumulate: `self += k·other`.
     ///
     /// # Panics
@@ -387,24 +365,6 @@ impl LuFactors {
     }
 }
 
-/// Solve the small eigen-style quadratic used in two-pole fits:
-/// roots of `x^2 + b x + c`, returned as (real parts only when real).
-///
-/// Returns `None` for complex roots.
-pub fn real_quadratic_roots(b: f64, c: f64) -> Option<(f64, f64)> {
-    let disc = b * b - 4.0 * c;
-    if disc < 0.0 {
-        return None;
-    }
-    let sq = disc.sqrt();
-    // Numerically stable form.
-    let q = -0.5 * (b + b.signum() * sq);
-    if q == 0.0 {
-        return Some((0.0, 0.0));
-    }
-    Some((q, c / q))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -459,14 +419,6 @@ mod tests {
     }
 
     #[test]
-    fn mul_mat_against_identity() {
-        let a = DenseMatrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let i = DenseMatrix::identity(2);
-        assert_eq!(a.mul_mat(&i), a);
-        assert_eq!(i.mul_mat(&a), a);
-    }
-
-    #[test]
     fn axpy_accumulates() {
         let mut a = DenseMatrix::zeros(2, 2);
         let b = DenseMatrix::identity(2);
@@ -480,21 +432,6 @@ mod tests {
     fn norm_inf() {
         let a = DenseMatrix::from_rows(&[&[1.0, -2.0], &[3.0, 0.5]]);
         assert_eq!(a.norm_inf(), 3.5);
-    }
-
-    #[test]
-    fn quadratic_roots_real() {
-        // x^2 - 3x + 2 -> roots 1, 2
-        let (r1, r2) = real_quadratic_roots(-3.0, 2.0).unwrap();
-        let mut rs = [r1, r2];
-        rs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        assert!((rs[0] - 1.0).abs() < 1e-12);
-        assert!((rs[1] - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn quadratic_roots_complex_rejected() {
-        assert!(real_quadratic_roots(0.0, 1.0).is_none());
     }
 
     proptest! {

@@ -27,8 +27,6 @@ pub struct MnaSystem {
     dim: usize,
     g: DenseMatrix,
     c: DenseMatrix,
-    /// Element ids of all branch-current elements (V/E/H), branch order.
-    branches: Vec<ElementId>,
     /// Element ids of independent voltage sources, in element order.
     vsources: Vec<ElementId>,
     /// Unknown index of each vsource's branch current, parallel to
@@ -52,7 +50,8 @@ impl MnaSystem {
         // Pass 1: classify elements and assign branch slots. Doing this
         // before stamping lets F/H elements resolve their controlling
         // source's branch column even when it is defined later in the deck.
-        let mut branches: Vec<ElementId> = Vec::new();
+        // Branch-current elements (V/E/H) seen so far.
+        let mut n_branches = 0;
         let mut vsources: Vec<ElementId> = Vec::new();
         let mut vsource_branch: Vec<usize> = Vec::new();
         let mut isources: Vec<ElementId> = Vec::new();
@@ -63,8 +62,8 @@ impl MnaSystem {
         for (i, e) in circuit.elements().iter().enumerate() {
             let id = ElementId(i);
             if e.has_branch_current() {
-                let bi = n_nodes + branches.len();
-                branches.push(id);
+                let bi = n_nodes + n_branches;
+                n_branches += 1;
                 if let Element::VSource { name, .. } = e {
                     vsources.push(id);
                     vsource_branch.push(bi);
@@ -89,7 +88,7 @@ impl MnaSystem {
                     ))
                 })
         };
-        let dim = n_nodes + branches.len();
+        let dim = n_nodes + n_branches;
         if dim == 0 {
             return Err(Error::InvalidCircuit(
                 "circuit has no unknowns (only ground)".into(),
@@ -233,13 +232,12 @@ impl MnaSystem {
                 Element::TableVccs { .. } | Element::Diode { .. } | Element::Mosfet { .. } => {}
             }
         }
-        debug_assert_eq!(branch, branches.len());
+        debug_assert_eq!(branch, n_branches);
         Ok(Self {
             n_nodes,
             dim,
             g,
             c,
-            branches,
             vsources,
             vsource_branch,
             isources,
@@ -255,11 +253,6 @@ impl MnaSystem {
     /// Total unknown count (nodes + branch-current unknowns).
     pub fn dim(&self) -> usize {
         self.dim
-    }
-
-    /// All branch-current elements (V/E/H) in branch order.
-    pub fn branches(&self) -> &[ElementId] {
-        &self.branches
     }
 
     /// Linear conductance matrix (with voltage-source incidence rows).
@@ -302,12 +295,6 @@ impl MnaSystem {
         } else {
             Some(n.index() - 1)
         }
-    }
-
-    /// Unknown index of the current of the `k`-th *branch element* (index
-    /// into [`MnaSystem::branches`]).
-    pub fn branch_unknown(&self, k: usize) -> usize {
-        self.n_nodes + k
     }
 
     /// Voltage of `node` in solution vector `x` (0 for ground).
@@ -559,6 +546,6 @@ mod tests {
         ckt.add_resistor("R", a, Circuit::gnd(), 1.0).unwrap();
         let mna = MnaSystem::new(&ckt).unwrap();
         let b = mna.rhs(&ckt, 0.0, 0.5);
-        assert_eq!(b[mna.branch_unknown(0)], 1.0);
+        assert_eq!(b[mna.vsource_branch(0)], 1.0);
     }
 }

@@ -156,11 +156,6 @@ impl SparseMatrix {
         self.vals[s] += v;
     }
 
-    /// Reset all values to zero, keeping the pattern.
-    pub fn clear_values(&mut self) {
-        self.vals.fill(0.0);
-    }
-
     /// The value array, pattern order (column-major, rows ascending).
     pub fn values(&self) -> &[f64] {
         &self.vals
@@ -202,7 +197,9 @@ impl SparseMatrix {
         }
     }
 
-    /// Materialize as a dense matrix (tests/diagnostics).
+    /// Materialize as a dense matrix: the oracle sparse results are
+    /// checked against.
+    #[cfg(test)]
     pub fn to_dense(&self) -> DenseMatrix {
         let mut d = DenseMatrix::zeros(self.n, self.n);
         for j in 0..self.n {
@@ -656,8 +653,6 @@ mod tests {
         m.add(0, 2, 1.0);
         assert_eq!(m.get(0, 2), 6.0);
         assert_eq!(m.get(2, 0), 0.0);
-        m.clear_values();
-        assert_eq!(m.get(0, 2), 0.0);
     }
 
     #[test]
@@ -762,7 +757,7 @@ mod tests {
         let sym = Symbolic::analyze(&a);
         let mut lu = SparseLu::factor(&a, &sym).unwrap();
         let mut zeroed = a.clone();
-        zeroed.clear_values();
+        zeroed.values_mut().fill(0.0);
         assert!(lu.refactor(&zeroed).is_err());
         // Fallback path: recover by refactoring the good values again.
         lu.refactor(&a).unwrap();

@@ -150,31 +150,6 @@ impl Waveform {
             .max(0.0)
     }
 
-    /// Minimum sample value. Returns 0 for an empty waveform.
-    pub fn min_value(&self) -> f64 {
-        if self.values.is_empty() {
-            return 0.0;
-        }
-        self.values.iter().copied().fold(f64::INFINITY, f64::min)
-    }
-
-    /// Resample onto a uniform grid with step `dt` spanning this waveform.
-    pub fn resample(&self, dt: f64) -> Self {
-        assert!(dt > 0.0);
-        if self.is_empty() {
-            return Self::new();
-        }
-        let t0 = self.t_start();
-        let t1 = self.t_end();
-        let n = ((t1 - t0) / dt).ceil() as usize + 1;
-        Self::sample(
-            t0,
-            t0 + (n - 1) as f64 * dt.max(f64::MIN_POSITIVE),
-            n.max(2),
-            |t| self.value_at(t),
-        )
-    }
-
     /// Shift the waveform in time by `delta` (positive = later).
     pub fn shifted(&self, delta: f64) -> Self {
         Self {
@@ -242,16 +217,6 @@ impl Waveform {
         self.add(&other.scaled(-1.0))
     }
 
-    /// Integral of the signed value over the full span (trapezoidal rule).
-    pub fn integral(&self) -> f64 {
-        let mut acc = 0.0;
-        for k in 1..self.times.len() {
-            let dt = self.times[k] - self.times[k - 1];
-            acc += 0.5 * (self.values[k] + self.values[k - 1]) * dt;
-        }
-        acc
-    }
-
     /// Time of the sample with the largest `|value - baseline|`.
     pub fn peak_time(&self, baseline: f64) -> f64 {
         let mut best_t = self.t_start();
@@ -289,12 +254,14 @@ impl Waveform {
         out
     }
 
-    /// Parse a waveform from [`Waveform::to_csv`]-style CSV. A leading
-    /// non-numeric header line is skipped.
+    /// Parse a waveform from [`Waveform::to_csv`]-style CSV: the oracle
+    /// [`Waveform::to_csv`] is checked against. A leading non-numeric
+    /// header line is skipped.
     ///
     /// # Errors
     ///
     /// Fails on malformed rows or a non-monotone time column.
+    #[cfg(test)]
     pub fn from_csv(csv: &str) -> Result<Self> {
         let mut times = Vec::new();
         let mut values = Vec::new();
@@ -481,12 +448,6 @@ mod tests {
     }
 
     #[test]
-    fn integral_of_triangle() {
-        let w = triangle();
-        assert!((w.integral() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn add_on_union_grid() {
         let a = triangle();
         let b = triangle().shifted(0.5);
@@ -571,14 +532,6 @@ mod tests {
     }
 
     #[test]
-    fn resample_preserves_shape() {
-        let w = triangle();
-        let r = w.resample(0.01);
-        assert!((r.value_at(0.5) - 0.5).abs() < 1e-9);
-        assert!(r.len() > 100);
-    }
-
-    #[test]
     fn shifted_and_scaled() {
         let w = triangle().shifted(2.0).scaled(3.0);
         assert_eq!(w.value_at(3.0), 3.0);
@@ -613,18 +566,5 @@ mod tests {
         let back = Waveform::from_csv(&csv).unwrap();
         assert_eq!(back.len(), w.len());
         assert!(w.max_abs_difference(&back) < 1e-12);
-    }
-
-    #[test]
-    fn csv_rejects_garbage_rows() {
-        assert!(Waveform::from_csv("time,value\n1.0,2.0\nxx,yy\n").is_err());
-        // Non-monotone times rejected via from_samples.
-        assert!(Waveform::from_csv("1.0,2.0\n0.5,1.0\n").is_err());
-    }
-
-    #[test]
-    fn csv_header_optional() {
-        let w = Waveform::from_csv("0.0,1.0\n1.0,2.0\n").unwrap();
-        assert_eq!(w.len(), 2);
     }
 }
