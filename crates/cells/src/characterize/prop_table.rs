@@ -109,13 +109,33 @@ fn glitch_sign(mode: &DriverMode, vdd: f64) -> f64 {
     }
 }
 
+/// Reject a grid axis that is not finite, positive and strictly
+/// increasing: a zero or negative width is no glitch at all, a negative
+/// height a glitch towards the rail, and a table needs increasing axes.
+fn check_axis(name: &str, axis: &[f64]) -> Result<()> {
+    if let Some(v) = axis.iter().find(|v| !(v.is_finite() && **v > 0.0)) {
+        return Err(Error::InvalidAnalysis(format!(
+            "propagated-noise grid: every {name} must be finite and positive, got {v:e}"
+        )));
+    }
+    if let Some(w) = axis.windows(2).find(|w| w[1] <= w[0]) {
+        return Err(Error::InvalidAnalysis(format!(
+            "propagated-noise grid: {name}s must increase, got {:e} after {:e}",
+            w[1], w[0]
+        )));
+    }
+    Ok(())
+}
+
 /// Characterize the propagated noise of `cell` in `mode` driving
 /// `load_cap`, over the `heights` × `widths` grid (heights in volts,
 /// widths in seconds — triangular input glitches, rise = fall = width/2).
 ///
 /// # Errors
 ///
-/// Fails on empty/non-monotone grids or simulator errors.
+/// Fails on a grid axis with fewer than two values or with a value that is
+/// not finite, positive and larger than the one before it (checked before
+/// any transient runs), or on simulator errors.
 pub fn characterize_propagated_noise(
     cell: &Cell,
     mode: &DriverMode,
@@ -138,7 +158,7 @@ pub fn characterize_propagated_noise(
 ///
 /// # Errors
 ///
-/// Fails on empty/non-monotone grids or simulator errors.
+/// As [`characterize_propagated_noise`].
 pub fn characterize_propagated_noise_with(
     cell: &Cell,
     mode: &DriverMode,
@@ -152,6 +172,8 @@ pub fn characterize_propagated_noise_with(
             "propagated-noise grid needs >= 2 heights and widths".into(),
         ));
     }
+    check_axis("height", heights)?;
+    check_axis("width", widths)?;
     let vdd = cell.tech.vdd;
     let q_in = mode.input_levels[mode.noisy_input];
     let sign = glitch_sign(mode, vdd);
@@ -275,5 +297,54 @@ mod tests {
         assert!(
             characterize_propagated_noise(&cell, &mode, 1e-15, &[0.5], &[1e-10, 2e-10]).is_err()
         );
+    }
+
+    /// Characterize a NAND2 on `heights` × `widths` and return the
+    /// grid-validation message; fails if the grid is accepted.
+    fn rejected(heights: &[f64], widths: &[f64]) -> String {
+        let t = Technology::cmos130();
+        let cell = Cell::nand2(t, 1.0);
+        let mode = cell.holding_low_mode();
+        match characterize_propagated_noise(&cell, &mode, 20.0 * FF, heights, widths) {
+            Err(Error::InvalidAnalysis(msg)) if msg.starts_with("propagated-noise grid") => msg,
+            other => panic!("{heights:?} x {widths:?}: {other:?}"),
+        }
+    }
+
+    const HEIGHTS: [f64; 3] = [0.3, 0.6, 0.9];
+    const WIDTHS: [f64; 3] = [200.0 * PS, 500.0 * PS, 1000.0 * PS];
+
+    #[test]
+    fn zero_and_negative_widths_rejected() {
+        for bad in [0.0, -200.0 * PS] {
+            let msg = rejected(&HEIGHTS, &[bad, 500.0 * PS, 1000.0 * PS]);
+            assert!(msg.contains("width must be finite and positive"), "{msg}");
+        }
+    }
+
+    #[test]
+    fn negative_heights_rejected() {
+        for bad in [-0.3, 0.0] {
+            let msg = rejected(&[bad, 0.6, 0.9], &WIDTHS);
+            assert!(msg.contains("height must be finite and positive"), "{msg}");
+        }
+    }
+
+    #[test]
+    fn non_finite_values_rejected() {
+        for bad in [f64::NAN, f64::INFINITY] {
+            let msg = rejected(&HEIGHTS, &[200.0 * PS, 500.0 * PS, bad]);
+            assert!(msg.contains("width must be finite"), "{msg}");
+            let msg = rejected(&[0.3, bad, 0.9], &WIDTHS);
+            assert!(msg.contains("height must be finite"), "{msg}");
+        }
+    }
+
+    #[test]
+    fn non_increasing_axes_rejected() {
+        let msg = rejected(&HEIGHTS, &[1000.0 * PS, 500.0 * PS, 200.0 * PS]);
+        assert!(msg.contains("widths must increase"), "{msg}");
+        let msg = rejected(&[0.3, 0.6, 0.6], &WIDTHS);
+        assert!(msg.contains("heights must increase"), "{msg}");
     }
 }

@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 use sna_obs::{count, phase_span, Metric, Phase};
 
 use crate::error::{Error, Result};
-use crate::mna::MnaSystem;
+use crate::mna::{DeviceEval, MnaSystem};
 use crate::netlist::{Circuit, NodeId};
 use crate::solver::{SolverKind, SystemSolver};
 
@@ -115,6 +115,7 @@ fn newton_solve(
     let mut residual = vec![0.0; dim];
     let mut neg_res = vec![0.0; dim];
     let mut dx = vec![0.0; dim];
+    let mut evals = vec![DeviceEval::default(); mna.nonlinear_count()];
     for it in 0..opts.max_iter {
         // residual = G x + f(x) - b ; jac = G + df/dx (+ gmin).
         solver.begin_jacobian();
@@ -128,7 +129,8 @@ fn newton_solve(
         for (i, r) in residual.iter_mut().enumerate().take(n_nodes) {
             *r += extra_gmin * x[i];
         }
-        mna.stamp_nonlinear(circuit, &x, &mut residual, Some(solver.jac_stamp()));
+        mna.eval_nonlinear(circuit, &x, &mut evals);
+        solver.stamp_nonlinear(mna, &evals, &mut residual);
         let max_res = residual.iter().fold(0.0_f64, |a, &v| a.max(v.abs()));
         // Newton step: J dx = -residual.
         for (n, &r) in neg_res.iter_mut().zip(residual.iter()) {
@@ -162,7 +164,8 @@ fn newton_solve(
     for (r, bv) in residual.iter_mut().zip(b) {
         *r -= bv;
     }
-    mna.stamp_nonlinear(circuit, &x, &mut residual, None);
+    mna.eval_nonlinear(circuit, &x, &mut evals);
+    mna.stamp_currents(&evals, &mut residual);
     let max_res = residual.iter().fold(0.0_f64, |a, &v| a.max(v.abs()));
     Err(Error::NonConvergence {
         analysis,
@@ -198,14 +201,17 @@ pub fn dc_operating_point(
     // One solver for the whole continuation ladder: the (sparse) symbolic
     // analysis and pattern allocation happen once, every Newton iteration
     // afterwards is a numeric refactor.
-    let mut solver = SystemSolver::new(&mna, circuit, opts.solver);
-    dc_operating_point_with(circuit, opts, warm_start, &mna, &mut solver)
+    let mut solver = SystemSolver::new(&mna, opts.solver);
+    let sol = dc_operating_point_with(circuit, opts, warm_start, &mna, &mut solver);
+    solver.flush_counts();
+    sol
 }
 
 /// [`dc_operating_point`] on a caller-owned MNA system and solver — the
 /// path for [`crate::tran::TranWorkspace`], which already paid matrix
 /// assembly and symbolic analysis for this circuit. The solver's α is reset
-/// to 0 (`G`-only) on entry; the caller re-applies its own α afterwards.
+/// to 0 (`G`-only) on entry; the caller re-applies its own α afterwards,
+/// and flushes the solver's counts when its analysis returns.
 pub(crate) fn dc_operating_point_with(
     circuit: &Circuit,
     opts: &NewtonOptions,

@@ -7,8 +7,13 @@
 //! (resistors, linear controlled sources, branch incidence rows) and a
 //! capacitance matrix `C`, so transient integration can form `G + α·C` per
 //! step size. Non-linear devices (MOSFETs, diodes, table VCCS) contribute
-//! residual currents and Jacobian entries per Newton iteration via
-//! [`MnaSystem::stamp_nonlinear`].
+//! residual currents and Jacobian entries per Newton iteration in two
+//! passes: `MnaSystem::eval_nonlinear` evaluates every device at the
+//! iterate into a caller-owned buffer, and `MnaSystem::stamp_nonlinear`
+//! adds those values to a residual and, optionally, a Jacobian. Keeping
+//! the evaluation lets the transient loop stamp one evaluation twice: once
+//! for the accepted point's `f(x)` and once as the next step's first
+//! Newton iterate, which starts from the same `x`.
 
 use std::collections::HashMap;
 
@@ -19,6 +24,57 @@ use crate::netlist::{Circuit, Element, ElementId, NodeId};
 /// Minimum conductance tied from every node to ground; keeps otherwise
 /// floating nodes solvable, mirroring SPICE's GMIN.
 pub const GMIN: f64 = 1e-12;
+
+/// One non-linear device evaluated at an iterate: its current `i` and the
+/// partial derivatives `g` that [`MnaSystem::stamp_nonlinear`] stamps. For
+/// a MOSFET `i` enters the drain and `g` is `∂i/∂(v_d, v_g, v_s, v_b)`;
+/// for a table VCCS `i` flows from `out_p` to `out_n` and `g` is
+/// `(∂i/∂v_ctrl, ∂i/∂v_out, −∂i/∂v_out)`; for a diode `i` flows anode to
+/// cathode and `g[0]` is `∂i/∂v_d`. Unused slots are zero.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct DeviceEval {
+    /// Device current (A).
+    pub(crate) i: f64,
+    /// Partial derivatives of `i` (S).
+    pub(crate) g: [f64; 4],
+}
+
+/// Unknown indices (`None` for ground) of a non-linear device's terminals.
+#[derive(Debug, Clone, Copy)]
+enum Terminals {
+    /// Drain, gate, source, bulk.
+    Mosfet([Option<usize>; 4]),
+    /// `out_p`, `out_n`, `ctrl`.
+    TableVccs([Option<usize>; 3]),
+    /// Anode, cathode.
+    Diode([Option<usize>; 2]),
+}
+
+/// Add the Jacobian rows of a two-terminal current `pos → neg` whose
+/// partial derivatives are `terms`: `+∂i` on the `pos` row, `−∂i` on the
+/// `neg` row, each in `terms` order.
+#[inline]
+fn stamp_rows<M: MatrixStamp>(
+    jac: &mut M,
+    pos: Option<usize>,
+    neg: Option<usize>,
+    terms: &[(Option<usize>, f64)],
+) {
+    if let Some(i) = pos {
+        for &(n, gv) in terms {
+            if let Some(jn) = n {
+                jac.add(i, jn, gv);
+            }
+        }
+    }
+    if let Some(i) = neg {
+        for &(n, gv) in terms {
+            if let Some(jn) = n {
+                jac.add(i, jn, -gv);
+            }
+        }
+    }
+}
 
 /// Assembled MNA system for one circuit.
 #[derive(Debug, Clone)]
@@ -34,8 +90,8 @@ pub struct MnaSystem {
     vsource_branch: Vec<usize>,
     /// Element ids of current sources.
     isources: Vec<ElementId>,
-    /// Element ids of nonlinear devices.
-    nonlinear: Vec<ElementId>,
+    /// Nonlinear devices in element order, with their terminals.
+    nonlinear: Vec<(ElementId, Terminals)>,
 }
 
 impl MnaSystem {
@@ -55,7 +111,14 @@ impl MnaSystem {
         let mut vsources: Vec<ElementId> = Vec::new();
         let mut vsource_branch: Vec<usize> = Vec::new();
         let mut isources: Vec<ElementId> = Vec::new();
-        let mut nonlinear: Vec<ElementId> = Vec::new();
+        let mut nonlinear: Vec<(ElementId, Terminals)> = Vec::new();
+        let ui = |n: NodeId| -> Option<usize> {
+            if n.is_ground() {
+                None
+            } else {
+                Some(n.index() - 1)
+            }
+        };
         // Lower-cased vsource name → branch unknown index, for F/H control
         // resolution.
         let mut vsrc_by_name: HashMap<String, usize> = HashMap::new();
@@ -73,8 +136,17 @@ impl MnaSystem {
             if matches!(e, Element::ISource { .. }) {
                 isources.push(id);
             }
-            if e.is_nonlinear() {
-                nonlinear.push(id);
+            let terminals = match *e {
+                Element::Mosfet { d, g, s, b, .. } => Some(Terminals::Mosfet([d, g, s, b].map(ui))),
+                Element::TableVccs {
+                    out_p, out_n, ctrl, ..
+                } => Some(Terminals::TableVccs([out_p, out_n, ctrl].map(ui))),
+                Element::Diode { p, n, .. } => Some(Terminals::Diode([p, n].map(ui))),
+                _ => None,
+            };
+            debug_assert_eq!(terminals.is_some(), e.is_nonlinear());
+            if let Some(t) = terminals {
+                nonlinear.push((id, t));
             }
         }
         let resolve_ctrl = |kind: &str, name: &str, ctrl: &str| -> Result<usize> {
@@ -100,14 +172,6 @@ impl MnaSystem {
         for i in 0..n_nodes {
             g.add(i, i, GMIN);
         }
-        // Helper: unknown index of a node, None for ground.
-        let ui = |n: NodeId| -> Option<usize> {
-            if n.is_ground() {
-                None
-            } else {
-                Some(n.index() - 1)
-            }
-        };
         // Stamp two-terminal admittance y between nodes a, b into m.
         let stamp_pair = |m: &mut DenseMatrix, a: NodeId, b: NodeId, y: f64| {
             if let Some(i) = ui(a) {
@@ -343,124 +407,128 @@ impl MnaSystem {
         }
     }
 
-    /// Add non-linear device currents to `residual` (KCL convention:
-    /// current *leaving* a node through a device adds positively, matching
-    /// `G·x` on the linear side) and, when `jac` is given, their
-    /// conductances into the Jacobian — any [`MatrixStamp`] sink works:
-    /// dense, sparse, or a pattern collector. The set of stamped positions
-    /// is independent of `x`, which is what lets the sparse solver size
-    /// its pattern from a single collection pass.
-    pub fn stamp_nonlinear(
-        &self,
-        circuit: &Circuit,
-        x: &[f64],
-        residual: &mut [f64],
-        mut jac: Option<&mut dyn MatrixStamp>,
-    ) {
-        for id in &self.nonlinear {
-            match circuit.element(*id) {
-                Element::Mosfet {
-                    d,
-                    g,
-                    s,
-                    b,
-                    model,
-                    w,
-                    l,
-                    ..
-                } => {
-                    let vd = self.voltage(x, *d);
-                    let vg = self.voltage(x, *g);
-                    let vs = self.voltage(x, *s);
-                    let vb = self.voltage(x, *b);
-                    let e = model.eval_terminal(vd, vg, vs, vb, *w, *l);
-                    // Current e.id flows into drain terminal, out of source.
-                    if let Some(i) = self.node_unknown(*d) {
-                        residual[i] += e.id;
-                    }
-                    if let Some(i) = self.node_unknown(*s) {
-                        residual[i] -= e.id;
-                    }
-                    if let Some(j) = jac.as_deref_mut() {
-                        let terms = [(*d, e.gd), (*g, e.gg), (*s, e.gs), (*b, e.gb)];
-                        if let Some(i) = self.node_unknown(*d) {
-                            for (n, gv) in terms {
-                                if let Some(jn) = self.node_unknown(n) {
-                                    j.add(i, jn, gv);
-                                }
-                            }
-                        }
-                        if let Some(i) = self.node_unknown(*s) {
-                            for (n, gv) in terms {
-                                if let Some(jn) = self.node_unknown(n) {
-                                    j.add(i, jn, -gv);
-                                }
-                            }
-                        }
+    /// Number of non-linear devices: the length of the [`DeviceEval`]
+    /// buffer [`MnaSystem::eval_nonlinear`] fills.
+    pub(crate) fn nonlinear_count(&self) -> usize {
+        self.nonlinear.len()
+    }
+
+    /// Evaluate every non-linear device of `circuit` (the circuit this
+    /// system was assembled from) at the unknown vector `x`, in element
+    /// order, into `evals`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `evals.len() != nonlinear_count()`.
+    pub(crate) fn eval_nonlinear(&self, circuit: &Circuit, x: &[f64], evals: &mut [DeviceEval]) {
+        assert_eq!(evals.len(), self.nonlinear.len());
+        let v = |u: Option<usize>| u.map_or(0.0, |i| x[i]);
+        for ((id, terminals), out) in self.nonlinear.iter().zip(evals.iter_mut()) {
+            *out = match (circuit.element(*id), terminals) {
+                (Element::Mosfet { model, w, l, .. }, Terminals::Mosfet([d, g, s, b])) => {
+                    let e = model.eval_terminal(v(*d), v(*g), v(*s), v(*b), *w, *l);
+                    DeviceEval {
+                        i: e.id,
+                        g: [e.gd, e.gg, e.gs, e.gb],
                     }
                 }
-                Element::TableVccs {
-                    out_p,
-                    out_n,
-                    ctrl,
-                    table,
-                    ..
-                } => {
-                    let vin = self.voltage(x, *ctrl);
-                    let vout = self.voltage(x, *out_p) - self.voltage(x, *out_n);
-                    let e = table.eval(vin, vout);
-                    if let Some(i) = self.node_unknown(*out_p) {
-                        residual[i] += e.z;
-                    }
-                    if let Some(i) = self.node_unknown(*out_n) {
-                        residual[i] -= e.z;
-                    }
-                    if let Some(j) = jac.as_deref_mut() {
-                        let terms = [(*ctrl, e.dz_dx), (*out_p, e.dz_dy), (*out_n, -e.dz_dy)];
-                        if let Some(i) = self.node_unknown(*out_p) {
-                            for (n, gv) in terms {
-                                if let Some(jn) = self.node_unknown(n) {
-                                    j.add(i, jn, gv);
-                                }
-                            }
-                        }
-                        if let Some(i) = self.node_unknown(*out_n) {
-                            for (n, gv) in terms {
-                                if let Some(jn) = self.node_unknown(n) {
-                                    j.add(i, jn, -gv);
-                                }
-                            }
-                        }
+                (Element::TableVccs { table, .. }, Terminals::TableVccs([p, n, ctrl])) => {
+                    let e = table.eval(v(*ctrl), v(*p) - v(*n));
+                    DeviceEval {
+                        i: e.z,
+                        g: [e.dz_dx, e.dz_dy, -e.dz_dy, 0.0],
                     }
                 }
-                Element::Diode { p, n, model, .. } => {
-                    let vd = self.voltage(x, *p) - self.voltage(x, *n);
-                    let e = model.eval(vd);
-                    // Current e.id flows anode → cathode through the diode.
-                    if let Some(i) = self.node_unknown(*p) {
-                        residual[i] += e.id;
-                    }
-                    if let Some(i) = self.node_unknown(*n) {
-                        residual[i] -= e.id;
-                    }
-                    if let Some(j) = jac.as_deref_mut() {
-                        if let Some(i) = self.node_unknown(*p) {
-                            j.add(i, i, e.gd);
-                            if let Some(jn) = self.node_unknown(*n) {
-                                j.add(i, jn, -e.gd);
-                            }
-                        }
-                        if let Some(i) = self.node_unknown(*n) {
-                            j.add(i, i, e.gd);
-                            if let Some(jp) = self.node_unknown(*p) {
-                                j.add(i, jp, -e.gd);
-                            }
-                        }
+                (Element::Diode { model, .. }, Terminals::Diode([p, n])) => {
+                    let e = model.eval(v(*p) - v(*n));
+                    DeviceEval {
+                        i: e.id,
+                        g: [e.gd, 0.0, 0.0, 0.0],
                     }
                 }
                 _ => unreachable!("nonlinear list holds only mosfets, diodes, and table vccs"),
+            };
+        }
+    }
+
+    /// Add the device currents of `evals` (from
+    /// [`MnaSystem::eval_nonlinear`]) to `residual` (KCL convention:
+    /// current *leaving* a node through a device adds positively, matching
+    /// `G·x` on the linear side) and, when `jac` is given, their
+    /// conductances into the Jacobian. Any [`MatrixStamp`] sink works:
+    /// dense, sparse, or a pattern collector. The set of stamped positions
+    /// is independent of the values, which is what lets the sparse solver
+    /// size its pattern from a single collection pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `evals.len() != nonlinear_count()`.
+    pub(crate) fn stamp_nonlinear<M: MatrixStamp>(
+        &self,
+        evals: &[DeviceEval],
+        residual: &mut [f64],
+        mut jac: Option<&mut M>,
+    ) {
+        assert_eq!(evals.len(), self.nonlinear.len());
+        for ((_, terminals), e) in self.nonlinear.iter().zip(evals) {
+            match *terminals {
+                Terminals::Mosfet([d, g, s, b]) => {
+                    // Current e.i flows into drain terminal, out of source.
+                    if let Some(i) = d {
+                        residual[i] += e.i;
+                    }
+                    if let Some(i) = s {
+                        residual[i] -= e.i;
+                    }
+                    if let Some(j) = jac.as_deref_mut() {
+                        let [gd, gg, gs, gb] = e.g;
+                        stamp_rows(j, d, s, &[(d, gd), (g, gg), (s, gs), (b, gb)]);
+                    }
+                }
+                Terminals::TableVccs([p, n, ctrl]) => {
+                    if let Some(i) = p {
+                        residual[i] += e.i;
+                    }
+                    if let Some(i) = n {
+                        residual[i] -= e.i;
+                    }
+                    if let Some(j) = jac.as_deref_mut() {
+                        let [g_ctrl, g_p, g_n, _] = e.g;
+                        stamp_rows(j, p, n, &[(ctrl, g_ctrl), (p, g_p), (n, g_n)]);
+                    }
+                }
+                Terminals::Diode([p, n]) => {
+                    // Current e.i flows anode → cathode through the diode.
+                    if let Some(i) = p {
+                        residual[i] += e.i;
+                    }
+                    if let Some(i) = n {
+                        residual[i] -= e.i;
+                    }
+                    if let Some(j) = jac.as_deref_mut() {
+                        let gd = e.g[0];
+                        if let Some(i) = p {
+                            j.add(i, i, gd);
+                            if let Some(jn) = n {
+                                j.add(i, jn, -gd);
+                            }
+                        }
+                        if let Some(i) = n {
+                            j.add(i, i, gd);
+                            if let Some(jp) = p {
+                                j.add(i, jp, -gd);
+                            }
+                        }
+                    }
+                }
             }
         }
+    }
+
+    /// [`MnaSystem::stamp_nonlinear`] without a Jacobian: only the device
+    /// currents of `evals` are added to `residual`.
+    pub(crate) fn stamp_currents(&self, evals: &[DeviceEval], residual: &mut [f64]) {
+        self.stamp_nonlinear::<DenseMatrix>(evals, residual, None);
     }
 }
 

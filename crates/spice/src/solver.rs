@@ -1,23 +1,30 @@
 //! Linear-solver selection: one front-end over the dense LU of [`crate::linalg`]
 //! and the sparse symbolic/numeric LU of [`crate::sparse`].
 //!
-//! Every repeated solve in the workspace — Newton iterations in DC, the
-//! per-step trapezoidal systems in transient, PRIMA's shifted solves — goes
-//! through [`SystemSolver`], which owns the assembled linear part (`G`, `C`,
-//! their combination `G + α·C`), the Jacobian being stamped, and the
-//! factors. The backend is chosen once per system by [`SolverKind`]: `Auto`
+//! Every repeated solve of a circuit analysis — Newton iterations in DC and
+//! the per-step trapezoidal systems in transient — goes through
+//! [`SystemSolver`], which owns the assembled linear part (`G`, `C`, their
+//! combination `G + α·C`), the Jacobian being stamped, and the factors.
+//! Device values reach the Jacobian through `SystemSolver::stamp_nonlinear`,
+//! which hands the backend's own matrix type to
+//! `MnaSystem::stamp_nonlinear`, so each stamp is a direct call. The backend is chosen once per system by [`SolverKind`]: `Auto`
 //! keeps tiny gate-only circuits on the cache-friendly dense path and
 //! switches finely segmented interconnect to sparse at
 //! [`SPARSE_AUTO_THRESHOLD`]; `Dense` and `Sparse` force a path, so tests
 //! can use each as the other's oracle.
+//!
+//! A solver counts its factorizations, refactorizations, solves and cold
+//! fallbacks in plain fields, and the analysis driving it reports them to
+//! `sna-obs` once, when it returns (`SystemSolver::flush_counts`): the
+//! Newton loops call the solver millions of times per characterization,
+//! and one atomic update per call would show in their profile.
 
 use serde::{Deserialize, Serialize};
 use sna_obs::{count, phase_span, Metric, Phase};
 
 use crate::error::Result;
-use crate::linalg::{DenseMatrix, LuFactors, MatrixStamp, PatternCollector};
-use crate::mna::MnaSystem;
-use crate::netlist::Circuit;
+use crate::linalg::{DenseMatrix, LuFactors, PatternCollector};
+use crate::mna::{DeviceEval, MnaSystem};
 use crate::sparse::{SparseLu, SparseMatrix, Symbolic};
 
 /// Unknown count at and above which [`SolverKind::Auto`] picks the sparse
@@ -96,13 +103,23 @@ pub struct SystemSolver {
     dim: usize,
     alpha: f64,
     backend: Backend,
+    counts: SolverCounts,
+}
+
+/// Solver calls not yet reported to `sna-obs`.
+#[derive(Debug, Default, Clone, Copy)]
+struct SolverCounts {
+    factors: u64,
+    refactors: u64,
+    solves: u64,
+    cold_fallbacks: u64,
 }
 
 impl SystemSolver {
-    /// Build the solver for `mna`'s linear part, including the non-linear
-    /// Jacobian pattern of `circuit` so Newton stamps always land inside
-    /// the sparse pattern.
-    pub fn new(mna: &MnaSystem, circuit: &Circuit, kind: SolverKind) -> Self {
+    /// Build the solver for `mna`'s linear part, including its non-linear
+    /// Jacobian pattern so Newton stamps always land inside the sparse
+    /// pattern.
+    pub fn new(mna: &MnaSystem, kind: SolverKind) -> Self {
         let dim = mna.dim();
         let backend = if kind.is_sparse_for(dim) {
             let g = mna.g_matrix();
@@ -116,10 +133,12 @@ impl SystemSolver {
                     }
                 }
             }
+            // Stamped positions do not depend on the values, so zero
+            // evaluations give the whole non-linear pattern.
             let mut collector = PatternCollector::new();
-            let zeros = vec![0.0; dim];
+            let evals = vec![DeviceEval::default(); mna.nonlinear_count()];
             let mut scratch = vec![0.0; dim];
-            mna.stamp_nonlinear(circuit, &zeros, &mut scratch, Some(&mut collector));
+            mna.stamp_nonlinear(&evals, &mut scratch, Some(&mut collector));
             entries.extend_from_slice(collector.entries());
             let jac = SparseMatrix::from_pattern(dim, &entries);
             let mut g_m = jac.clone();
@@ -167,6 +186,7 @@ impl SystemSolver {
             dim,
             alpha: 0.0,
             backend,
+            counts: SolverCounts::default(),
         }
     }
 
@@ -249,9 +269,24 @@ impl SystemSolver {
         }
     }
 
-    /// Stamp sink for the current Jacobian (pass to
-    /// [`MnaSystem::stamp_nonlinear`]).
-    pub fn jac_stamp(&mut self) -> &mut dyn MatrixStamp {
+    /// Stamp the non-linear device values `evals` into `residual` and the
+    /// current Jacobian (see `MnaSystem::stamp_nonlinear`).
+    pub(crate) fn stamp_nonlinear(
+        &mut self,
+        mna: &MnaSystem,
+        evals: &[DeviceEval],
+        residual: &mut [f64],
+    ) {
+        match &mut self.backend {
+            Backend::Dense { jac, .. } => mna.stamp_nonlinear(evals, residual, Some(jac)),
+            Backend::Sparse { jac, .. } => mna.stamp_nonlinear(evals, residual, Some(jac)),
+        }
+    }
+
+    /// Stamp sink for the current Jacobian, for the single-pass stamping
+    /// of the test oracle.
+    #[cfg(any(test, feature = "oracle"))]
+    pub(crate) fn jac_stamp(&mut self) -> &mut dyn crate::linalg::MatrixStamp {
         match &mut self.backend {
             Backend::Dense { jac, .. } => jac,
             Backend::Sparse { jac, .. } => jac,
@@ -261,7 +296,10 @@ impl SystemSolver {
     /// Add `v` to Jacobian entry `(i, j)` — e.g. gmin-stepping shunts on
     /// the diagonal (always inside the pattern).
     pub fn jac_add(&mut self, i: usize, j: usize, v: f64) {
-        self.jac_stamp().add(i, j, v);
+        match &mut self.backend {
+            Backend::Dense { jac, .. } => jac.add(i, j, v),
+            Backend::Sparse { jac, .. } => jac.add(i, j, v),
+        }
     }
 
     /// Factor the stamped Jacobian: dense refactors in place with full
@@ -273,16 +311,17 @@ impl SystemSolver {
     /// [`crate::Error::SingularMatrix`] if the system is singular even
     /// after the cold-factor fallback.
     pub fn factor_jacobian(&mut self) -> Result<()> {
+        let counts = &mut self.counts;
         match &mut self.backend {
             Backend::Dense { jac, lu, .. } => match lu {
                 Some(f) => {
                     let _t = phase_span(Phase::Refactor);
-                    count(Metric::SolverRefactorsDense, 1);
+                    counts.refactors += 1;
                     f.refactor(jac)
                 }
                 None => {
                     let _t = phase_span(Phase::Factor);
-                    count(Metric::SolverFactorsDense, 1);
+                    counts.factors += 1;
                     *lu = Some(jac.lu()?);
                     Ok(())
                 }
@@ -291,14 +330,14 @@ impl SystemSolver {
                 if let Some(f) = lu {
                     let _t = phase_span(Phase::Refactor);
                     if f.refactor(jac).is_ok() {
-                        count(Metric::SolverRefactorsSparse, 1);
+                        counts.refactors += 1;
                         return Ok(());
                     }
                     // A stored pivot collapsed under the new values.
-                    count(Metric::SolverColdFallbacks, 1);
+                    counts.cold_fallbacks += 1;
                 }
                 let _t = phase_span(Phase::Factor);
-                count(Metric::SolverFactorsSparse, 1);
+                counts.factors += 1;
                 *lu = Some(SparseLu::factor(jac, sym)?);
                 Ok(())
             }
@@ -325,7 +364,7 @@ impl SystemSolver {
     /// Panics if called before a successful factorization.
     pub fn solve_into(&mut self, b: &[f64], x: &mut [f64]) {
         let _t = phase_span(Phase::Solve);
-        count(Metric::SolverSolves, 1);
+        self.counts.solves += 1;
         match &mut self.backend {
             Backend::Dense { lu, .. } => {
                 lu.as_ref().expect("factor before solve").solve_into(b, x);
@@ -337,12 +376,37 @@ impl SystemSolver {
             }
         }
     }
+
+    /// Report the factorizations, refactorizations, solves and cold
+    /// fallbacks since the last flush to `sna-obs`, and reset them. Every
+    /// analysis that drives a solver calls this once before it returns,
+    /// on success and failure alike; dropping the solver flushes what is
+    /// left.
+    pub(crate) fn flush_counts(&mut self) {
+        let c = std::mem::take(&mut self.counts);
+        let (factors, refactors) = if self.is_sparse() {
+            (Metric::SolverFactorsSparse, Metric::SolverRefactorsSparse)
+        } else {
+            (Metric::SolverFactorsDense, Metric::SolverRefactorsDense)
+        };
+        count(factors, c.factors);
+        count(refactors, c.refactors);
+        count(Metric::SolverSolves, c.solves);
+        count(Metric::SolverColdFallbacks, c.cold_fallbacks);
+    }
+}
+
+impl Drop for SystemSolver {
+    fn drop(&mut self) {
+        self.flush_counts();
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::devices::SourceWaveform;
+    use crate::netlist::Circuit;
 
     fn ladder(n_nodes: usize) -> Circuit {
         let mut ckt = Circuit::new();
@@ -374,7 +438,7 @@ mod tests {
         let b = mna.rhs(&ckt, 0.0, 1.0);
         let mut solutions = Vec::new();
         for kind in [SolverKind::Dense, SolverKind::Sparse] {
-            let mut s = SystemSolver::new(&mna, &ckt, kind);
+            let mut s = SystemSolver::new(&mna, kind);
             assert_eq!(s.is_sparse(), kind == SolverKind::Sparse);
             s.set_alpha(1e9);
             s.factor_base().unwrap();
@@ -398,7 +462,7 @@ mod tests {
         let ckt = ladder(30);
         let mna = MnaSystem::new(&ckt).unwrap();
         let b = mna.rhs(&ckt, 0.0, 1.0);
-        let mut s = SystemSolver::new(&mna, &ckt, SolverKind::Sparse);
+        let mut s = SystemSolver::new(&mna, SolverKind::Sparse);
         let mut x1 = vec![0.0; s.dim()];
         let mut x2 = vec![0.0; s.dim()];
         for (alpha, x) in [(1e10, &mut x1), (2e10, &mut x2)] {

@@ -7,6 +7,15 @@
 //! per step — this asymmetry is part of why macromodel-based noise analysis
 //! is fast.
 //!
+//! Non-linear devices are evaluated once per Newton point. The evaluation
+//! at an accepted point gives the step's `f(x)` for the next right-hand
+//! side and is also the next step's first Newton iterate, which starts from
+//! the same `x`; only later iterates evaluate again. A characterization
+//! step takes about 1.3 Newton iterations, so this is about 1.3 device
+//! passes per step instead of 2.3. The loop that evaluated afresh at every
+//! iterate and accepted point is kept as the test oracle `tran::oracle`
+//! (compiled for tests only), and the two agree bit for bit.
+//!
 //! A [`TranWorkspace`] is the simulator's one reuse unit: characterization
 //! grids build one per circuit and run every DC point
 //! ([`TranWorkspace::dc`]) and transient ([`transient_with`]) on it,
@@ -17,6 +26,11 @@
 //! argument, and so does an early-stop predicate for callers that read
 //! only a prefix of the waveform. Integration is causal, so a stopped run
 //! is the prefix of the full run, bit for bit.
+//!
+//! Each analysis reports its counts to `sna-obs` once, when it returns,
+//! whether it succeeded or failed: the transient's call, steps and Newton
+//! iterations, and the solver's factorizations and solves (the DC initial
+//! condition included).
 
 use serde::{Deserialize, Serialize};
 use sna_obs::{count, phase_span, Metric, Phase};
@@ -24,10 +38,13 @@ use sna_obs::{count, phase_span, Metric, Phase};
 use crate::dc::{dc_operating_point_with, DcSolution, NewtonOptions};
 use crate::error::{Error, Result};
 use crate::fnv::Fnv;
-use crate::mna::MnaSystem;
+use crate::mna::{DeviceEval, MnaSystem};
 use crate::netlist::{Circuit, Element, NodeId};
 use crate::solver::{SolverKind, SystemSolver};
 use crate::waveform::Waveform;
+
+#[cfg(any(test, feature = "oracle"))]
+pub mod oracle;
 
 /// Transient analysis parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -177,6 +194,10 @@ pub struct TranWorkspace {
     neg: Vec<f64>,
     dx: Vec<f64>,
     f_prev: Vec<f64>,
+    /// Non-linear device values at the current `x`: the accepted point's
+    /// evaluation builds `f_prev` and is the next step's first Newton
+    /// iterate.
+    evals: Vec<DeviceEval>,
     // Circuit fingerprint guarding workspace reuse.
     node_count: usize,
     element_count: usize,
@@ -188,7 +209,7 @@ pub struct TranWorkspace {
 }
 
 /// Counters accumulated by one transient run, flushed to the observability
-/// layer when the run completes.
+/// layer when the run returns, whether it completed or failed.
 #[derive(Debug, Default, Clone, Copy)]
 struct TranStats {
     steps: u64,
@@ -311,8 +332,9 @@ impl TranWorkspace {
     /// Propagates circuit validation failures.
     pub fn new(circuit: &Circuit, kind: SolverKind) -> Result<Self> {
         let mna = MnaSystem::new(circuit)?;
-        let solver = SystemSolver::new(&mna, circuit, kind);
+        let solver = SystemSolver::new(&mna, kind);
         let dim = mna.dim();
+        let evals = vec![DeviceEval::default(); mna.nonlinear_count()];
         Ok(Self {
             mna,
             kind,
@@ -325,6 +347,7 @@ impl TranWorkspace {
             neg: vec![0.0; dim],
             dx: vec![0.0; dim],
             f_prev: vec![0.0; dim],
+            evals,
             node_count: circuit.node_count(),
             element_count: circuit.elements().len(),
             value_hash: circuit_value_hash(circuit),
@@ -387,7 +410,9 @@ impl TranWorkspace {
         warm_start: Option<&[f64]>,
     ) -> Result<DcSolution> {
         self.check(circuit, opts.solver)?;
-        dc_operating_point_with(circuit, opts, warm_start, &self.mna, &mut self.solver)
+        let sol = dc_operating_point_with(circuit, opts, warm_start, &self.mna, &mut self.solver);
+        self.solver.flush_counts();
+        sol
     }
 }
 
@@ -428,7 +453,7 @@ pub fn transient_with(
     params: &TranParams,
     ws: &mut TranWorkspace,
     ics: &[(NodeId, f64)],
-    mut stop: Option<StopPredicate<'_>>,
+    stop: Option<StopPredicate<'_>>,
 ) -> Result<TranResult> {
     // `is_nan()` checks keep the rejection of NaN parameters explicit.
     if params.dt.is_nan()
@@ -458,7 +483,28 @@ pub fn transient_with(
     let n_steps = n_steps as usize;
     ws.check(circuit, params.newton.solver)?;
     let _t = phase_span(Phase::Tran);
-    ws.stats = TranStats::default();
+    let res = run_transient(circuit, params, n_steps, ws, ics, stop);
+    ws.stats.flush();
+    ws.solver.flush_counts();
+    res
+}
+
+/// The stepping loop of [`transient_with`], on a checked workspace. Every
+/// non-linear device is evaluated once per Newton point: the accepted
+/// point's evaluation gives `f_prev` and is also the next step's first
+/// Newton iterate, which starts from the same `x`.
+fn run_transient(
+    circuit: &Circuit,
+    params: &TranParams,
+    n_steps: usize,
+    ws: &mut TranWorkspace,
+    ics: &[(NodeId, f64)],
+    mut stop: Option<StopPredicate<'_>>,
+) -> Result<TranResult> {
+    #[cfg(any(test, feature = "oracle"))]
+    if oracle::active() {
+        return oracle::run_transient(circuit, params, n_steps, ws, ics, stop);
+    }
     let dim = ws.mna.dim();
     let n_nodes = ws.mna.n_nodes();
 
@@ -518,13 +564,12 @@ pub fn transient_with(
     record(&x, 0.0, &mut times, &mut traces, &mut branch_currents);
     // With a stop at t = 0 the step range below is empty.
     let last_step = if stop_here(0.0, &x) { 0 } else { n_steps };
-    let mut steps_taken = 0;
 
     ws.mna.rhs_into(circuit, 0.0, 1.0, &mut ws.b_prev);
     // Nonlinear residual at the previous time point.
+    ws.mna.eval_nonlinear(circuit, &x, &mut ws.evals);
     ws.f_prev.fill(0.0);
-    ws.mna.stamp_nonlinear(circuit, &x, &mut ws.f_prev, None);
-    let mut total_newton = 0usize;
+    ws.mna.stamp_currents(&ws.evals, &mut ws.f_prev);
 
     for step in 1..=last_step {
         let t1 = step as f64 * params.dt;
@@ -543,16 +588,20 @@ pub fn transient_with(
             ws.solver.solve_into(&ws.rhs, &mut x_next);
             std::mem::swap(&mut x, &mut x_next);
         } else {
-            // Newton with warm start from previous time point.
+            // Newton with warm start from previous time point, whose
+            // device values `ws.evals` already holds.
             let mut converged = false;
-            for _ in 0..params.newton.max_iter {
+            for it in 0..params.newton.max_iter {
+                if it > 0 {
+                    ws.mna.eval_nonlinear(circuit, &x, &mut ws.evals);
+                }
                 ws.solver.base_mul_into(&x, &mut ws.residual);
                 for (r, rhs) in ws.residual.iter_mut().zip(&ws.rhs) {
                     *r -= rhs;
                 }
                 ws.solver.begin_jacobian();
-                ws.mna
-                    .stamp_nonlinear(circuit, &x, &mut ws.residual, Some(ws.solver.jac_stamp()));
+                ws.solver
+                    .stamp_nonlinear(&ws.mna, &ws.evals, &mut ws.residual);
                 for (n, &r) in ws.neg.iter_mut().zip(ws.residual.iter()) {
                     *n = -r;
                 }
@@ -572,7 +621,7 @@ pub fn transient_with(
                         done = false;
                     }
                 }
-                total_newton += 1;
+                ws.stats.newton_iterations += 1;
                 if done && scale == 1.0 {
                     converged = true;
                     break;
@@ -589,13 +638,14 @@ pub fn transient_with(
             }
         }
         record(&x, t1, &mut times, &mut traces, &mut branch_currents);
-        steps_taken = step;
+        ws.stats.steps += 1;
         if stop_here(t1, &x) {
             break;
         }
         std::mem::swap(&mut ws.b_prev, &mut ws.b_cur);
+        ws.mna.eval_nonlinear(circuit, &x, &mut ws.evals);
         ws.f_prev.fill(0.0);
-        ws.mna.stamp_nonlinear(circuit, &x, &mut ws.f_prev, None);
+        ws.mna.stamp_currents(&ws.evals, &mut ws.f_prev);
     }
     let node_names = (0..circuit.node_count())
         .map(|i| circuit.node_name(NodeId(i)).to_string())
@@ -606,16 +656,13 @@ pub fn transient_with(
         .iter()
         .map(|id| circuit.element(*id).name().to_string())
         .collect();
-    ws.stats.steps = steps_taken as u64;
-    ws.stats.newton_iterations = total_newton as u64;
-    ws.stats.flush();
     Ok(TranResult {
         times,
         traces,
         branch_currents,
         node_names,
         vsource_names,
-        newton_iterations: total_newton,
+        newton_iterations: ws.stats.newton_iterations as usize,
     })
 }
 

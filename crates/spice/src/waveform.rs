@@ -242,52 +242,6 @@ impl Waveform {
         let diff = self.sub(other);
         diff.values.iter().fold(0.0_f64, |acc, &v| acc.max(v.abs()))
     }
-
-    /// Serialize as two-column CSV (`time,value` header included), the
-    /// interchange format plotting scripts expect.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::with_capacity(24 * self.len() + 16);
-        out.push_str("time,value\n");
-        for (t, v) in self.times.iter().zip(&self.values) {
-            out.push_str(&format!("{t:.9e},{v:.9e}\n"));
-        }
-        out
-    }
-
-    /// Parse a waveform from [`Waveform::to_csv`]-style CSV: the oracle
-    /// [`Waveform::to_csv`] is checked against. A leading non-numeric
-    /// header line is skipped.
-    ///
-    /// # Errors
-    ///
-    /// Fails on malformed rows or a non-monotone time column.
-    #[cfg(test)]
-    pub fn from_csv(csv: &str) -> Result<Self> {
-        let mut times = Vec::new();
-        let mut values = Vec::new();
-        for (i, line) in csv.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let mut cols = line.split(',');
-            let (ts, vs) = (cols.next().unwrap_or(""), cols.next().unwrap_or(""));
-            match (ts.trim().parse::<f64>(), vs.trim().parse::<f64>()) {
-                (Ok(t), Ok(v)) => {
-                    times.push(t);
-                    values.push(v);
-                }
-                _ if i == 0 => continue, // header
-                _ => {
-                    return Err(Error::InvalidTable(format!(
-                        "bad CSV row {}: '{line}'",
-                        i + 1
-                    )))
-                }
-            }
-        }
-        Waveform::from_samples(times, values)
-    }
 }
 
 /// Scalar summary of a noise glitch, as reported in the paper's tables.
@@ -556,15 +510,5 @@ mod tests {
         let a = triangle();
         let b = triangle().scaled(0.5);
         assert!((a.max_abs_difference(&b) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn csv_roundtrip() {
-        let w = Waveform::from_samples(vec![0.0, 1e-12, 2.5e-12], vec![0.0, 0.6321, 1.2]).unwrap();
-        let csv = w.to_csv();
-        assert!(csv.starts_with("time,value\n"));
-        let back = Waveform::from_csv(&csv).unwrap();
-        assert_eq!(back.len(), w.len());
-        assert!(w.max_abs_difference(&back) < 1e-12);
     }
 }

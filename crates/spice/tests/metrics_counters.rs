@@ -5,10 +5,13 @@
 //! thread's own recorder — so concurrent tests in this binary (or the rest
 //! of the workspace's test run) cannot leak counts into the assertions.
 
-use sna_obs::{local_snapshot, Metric};
-use sna_spice::devices::{MosPolarity, MosfetModel, SourceWaveform};
+use sna_obs::{local_snapshot, CounterSnapshot, Metric};
+use sna_spice::dc::{dc_operating_point, NewtonOptions};
+use sna_spice::devices::{DiodeModel, MosPolarity, MosfetModel, SourceWaveform};
+use sna_spice::error::Error;
+use sna_spice::mna::MnaSystem;
 use sna_spice::netlist::Circuit;
-use sna_spice::solver::SolverKind;
+use sna_spice::solver::{SolverKind, SystemSolver};
 use sna_spice::tran::{transient_with, StopPredicate, TranParams, TranResult, TranWorkspace};
 use sna_spice::units::{NS, PS};
 
@@ -242,4 +245,121 @@ fn early_stop_keeps_the_prefix_and_counts_steps_taken() {
             assert_prefix(&at_zero, &full, nodes, sources);
         }
     }
+}
+
+/// The dense solver calls in `d`: one factorization (cold or not) and one
+/// solve per Newton iteration, so each count equals `newton`.
+fn assert_one_factor_and_solve_per_iteration(d: &CounterSnapshot, newton: u64, what: &str) {
+    let factors = d.get(Metric::SolverFactorsDense) + d.get(Metric::SolverRefactorsDense);
+    assert_eq!(factors, newton, "{what}: factorizations");
+    assert_eq!(d.get(Metric::SolverSolves), newton, "{what}: solves");
+}
+
+/// `TranWorkspace::dc` reports its solver calls before it returns: the
+/// workspace is still alive when the counts are read, so nothing waits for
+/// the solver to be dropped.
+#[test]
+fn workspace_dc_reports_solver_counts_on_return() {
+    let ckt = inverter();
+    let mut ws = TranWorkspace::new(&ckt, SolverKind::Dense).unwrap();
+    let opts = NewtonOptions {
+        solver: SolverKind::Dense,
+        ..NewtonOptions::default()
+    };
+    let mut warm: Option<Vec<f64>> = None;
+    for call in 0..3 {
+        let before = local_snapshot();
+        let sol = ws.dc(&ckt, &opts, warm.as_deref()).unwrap();
+        let d = local_snapshot().since(&before);
+        assert_eq!(d.get(Metric::DcSolves), 1);
+        assert_eq!(d.get(Metric::DcNewtonIterations), sol.iterations as u64);
+        assert_eq!(d.get(Metric::SolverFactorsDense), u64::from(call == 0));
+        assert_one_factor_and_solve_per_iteration(&d, sol.iterations as u64, "ws.dc");
+        warm = Some(sol.unknowns().to_vec());
+    }
+}
+
+/// `dc_operating_point` reports its solver calls by the time it returns.
+#[test]
+fn dc_operating_point_reports_solver_counts_on_return() {
+    let ckt = inverter();
+    let opts = NewtonOptions {
+        solver: SolverKind::Dense,
+        ..NewtonOptions::default()
+    };
+    let before = local_snapshot();
+    let sol = dc_operating_point(&ckt, &opts, None).unwrap();
+    let d = local_snapshot().since(&before);
+    assert!(sol.iterations >= 2);
+    assert_eq!(d.get(Metric::SolverFactorsDense), 1);
+    assert_one_factor_and_solve_per_iteration(&d, sol.iterations as u64, "dc");
+}
+
+/// A transient that fails with `NonConvergence` still reports its call,
+/// its accepted steps, its Newton iterations and its solver calls. The
+/// source sits at 0 V until 100 ps, so with one Newton iteration allowed
+/// every step up to there converges at once and the first step of the
+/// edge fails.
+#[test]
+fn failed_transient_reports_its_counts() {
+    let mut ckt = Circuit::new();
+    let src = ckt.node("src");
+    let out = ckt.node("out");
+    ckt.add_vsource(
+        "Vs",
+        src,
+        Circuit::gnd(),
+        SourceWaveform::Ramp {
+            v0: 0.0,
+            v1: 1.5,
+            t_start: 100.0 * PS,
+            t_rise: 50.0 * PS,
+        },
+    );
+    ckt.add_resistor("Rs", src, out, 1e3).unwrap();
+    ckt.add_capacitor("Cl", out, Circuit::gnd(), 5e-15).unwrap();
+    ckt.add_diode("D", out, Circuit::gnd(), DiodeModel::default())
+        .unwrap();
+    let mut ws = TranWorkspace::new(&ckt, SolverKind::Dense).unwrap();
+    let dt = 2.0 * PS;
+    let mut params = TranParams::new(1.0 * NS, dt);
+    params.newton.solver = SolverKind::Dense;
+    params.newton.max_iter = 1;
+    let before = local_snapshot();
+    let err = transient_with(&ckt, &params, &mut ws, &[], None).unwrap_err();
+    let d = local_snapshot().since(&before);
+    let Error::NonConvergence { analysis, time, .. } = err else {
+        panic!("expected a transient non-convergence, got {err}");
+    };
+    assert_eq!(analysis, "tran");
+    assert!(time > 100.0 * PS, "failed at {time:e}");
+    let accepted = (time / dt).round() as u64 - 1;
+    assert_eq!(d.get(Metric::TranCalls), 1);
+    assert_eq!(d.get(Metric::TranSteps), accepted);
+    assert_eq!(d.get(Metric::TranNewtonIterations), accepted + 1);
+    assert_eq!(d.get(Metric::DcNewtonIterations), 1);
+    assert_eq!(d.get(Metric::SolverFactorsDense), 1);
+    assert_one_factor_and_solve_per_iteration(&d, accepted + 2, "failed tran");
+}
+
+/// A solver driven directly, outside any analysis, reports what it did
+/// when it is dropped at the latest.
+#[test]
+fn dropped_solver_flushes_its_counts() {
+    let ckt = ladder(8);
+    let mna = MnaSystem::new(&ckt).unwrap();
+    let b = mna.rhs(&ckt, 0.0, 1.0);
+    let before = local_snapshot();
+    {
+        let mut solver = SystemSolver::new(&mna, SolverKind::Sparse);
+        solver.set_alpha(1e12);
+        solver.factor_base().unwrap();
+        let mut x = vec![0.0; mna.dim()];
+        solver.solve_into(&b, &mut x);
+        solver.solve_into(&b, &mut x);
+    }
+    let d = local_snapshot().since(&before);
+    assert_eq!(d.get(Metric::SolverSparseSelected), 1);
+    assert_eq!(d.get(Metric::SolverFactorsSparse), 1);
+    assert_eq!(d.get(Metric::SolverSolves), 2);
 }
