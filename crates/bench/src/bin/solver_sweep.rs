@@ -1,21 +1,24 @@
 //! Dense vs sparse solver sweep on the segmented coupled-bus transient.
 //!
-//! Three modes:
+//! The flow's circuits all sit below `SPARSE_AUTO_THRESHOLD` (96 unknowns),
+//! so this sweep is the one run of the sparse side of that choice: it
+//! times both backends across it and checks that they agree.
 //!
-//! * default — criterion harness: factor/refactor and end-to-end transient
-//!   timings per bus size.
+//! Two modes:
+//!
 //! * `--format json` — hand-timed medians emitted as the
-//!   `sna-bench-solver-v1` JSON document checked in as `BENCH_solver.json`
-//!   (the repo's performance trajectory for the solver subsystem).
+//!   `sna-bench-solver-v1` JSON document checked in as `BENCH_solver.json`.
 //! * `--test` — small-size smoke run: exercises every backend and asserts
 //!   dense/sparse waveform agreement to 1e-9. CI runs this on every push.
 //!
 //! The circuit is the paper's victim/aggressor pair (500 µm, coupled), the
 //! matrix sweep covers n ≈ 50…1000 MNA unknowns via the segment count.
+//!
+//! Run with `cargo run --release -p sna-bench --bin solver_sweep -- --test`
+//! (or `-- --format json`).
 
 use std::time::Instant;
 
-use criterion::{criterion_group, BenchmarkId, Criterion};
 use sna_interconnect::prelude::*;
 use sna_obs::{local_snapshot, Metric};
 use sna_spice::linalg::DenseMatrix;
@@ -244,49 +247,6 @@ fn self_test() {
     println!("solver bench self-test: OK");
 }
 
-fn bench_solver(c: &mut Criterion) {
-    let mut group = c.benchmark_group("solver_factor");
-    group.sample_size(10);
-    for segments in [25usize, 100, 250, 500] {
-        let (ckt, _) = bus_circuit(segments);
-        let geff = geff_of(&ckt);
-        let n = geff.n_rows();
-        let sp = SparseMatrix::from_dense(&geff);
-        let sym = Symbolic::analyze(&sp);
-        group.bench_function(BenchmarkId::new("dense_lu", n), |b| {
-            b.iter(|| geff.lu().unwrap())
-        });
-        group.bench_function(BenchmarkId::new("sparse_cold", n), |b| {
-            b.iter(|| SparseLu::factor(&sp, &sym).unwrap())
-        });
-        let mut lu = SparseLu::factor(&sp, &sym).unwrap();
-        group.bench_function(BenchmarkId::new("sparse_refactor", n), |b| {
-            b.iter(|| lu.refactor(&sp).unwrap())
-        });
-    }
-    group.finish();
-
-    let mut group = c.benchmark_group("solver_tran");
-    group.sample_size(10);
-    for segments in [100usize, 250] {
-        let (ckt, _) = bus_circuit(segments);
-        let n = MnaSystem::new(&ckt).unwrap().dim();
-        for (label, kind) in [("dense", SolverKind::Dense), ("sparse", SolverKind::Sparse)] {
-            let mut params = TranParams::new(0.5 * NS, 2.0 * PS);
-            params.newton.solver = kind;
-            group.bench_function(BenchmarkId::new(label, n), |b| {
-                b.iter(|| transient(&ckt, &params).unwrap())
-            });
-        }
-    }
-    group.finish();
-}
-
-// The group expands to `fn benches()`; the custom `main` below dispatches
-// to it in the default mode and adds the `--test` / `--format json` modes
-// (real criterion would own `main` via `criterion_main!`).
-criterion_group!(benches, bench_solver);
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     if args.iter().any(|a| a == "--test") {
@@ -309,5 +269,6 @@ fn main() {
         emit_json(&cases);
         return;
     }
-    benches();
+    eprintln!("usage: solver_sweep --test | --format json");
+    std::process::exit(2);
 }

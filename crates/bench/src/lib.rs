@@ -1,7 +1,7 @@
 //! # sna-bench — benchmark harness
 //!
 //! Binaries regenerating every table and §3 claim of Forzan & Pandini
-//! (DATE 2005), plus Criterion micro-benches:
+//! (DATE 2005), plus the dense/sparse solver sweep:
 //!
 //! | target | paper artifact |
 //! |---|---|
@@ -9,10 +9,8 @@
 //! | `--bin table2` | Table 2 — two in-phase aggressors + glitch |
 //! | `--bin accuracy_sweep` | §3 "error always within few percents" (0.13 µm & 90 nm) |
 //! | `--bin speedup` | §3 "speed-up … about 20×" |
-//! | `benches/engine.rs` | engine throughput + integrator ablation |
-//! | `benches/golden_vs_macro.rs` | golden vs macromodel wall-clock |
-//! | `benches/characterization.rs` | Eq. (1) grid-resolution ablation |
-//! | `benches/mor.rs` | PRIMA vs coupled-Π reduction ablation |
+//! | `--bin solver_sweep` | dense vs sparse LU across `SPARSE_AUTO_THRESHOLD` (`BENCH_solver.json`) |
 //!
-//! Run everything with `cargo bench` and the binaries with
-//! `cargo run --release -p sna-bench --bin <name>`.
+//! Run them with `cargo run --release -p sna-bench --bin <name>`.
+//! End-to-end and per-layer performance is measured by `perfbench/`,
+//! in calibrated time, not here.

@@ -6,14 +6,13 @@
 //! NOR2, BUF and AOI21 for the §3 accuracy sweep across "several noise
 //! clusters".
 
-use serde::{Deserialize, Serialize};
 use sna_spice::error::{Error, Result};
 use sna_spice::netlist::{Circuit, NodeId};
 
 use crate::tech::Technology;
 
 /// Logic function of a cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CellType {
     /// Inverter.
     Inv,
@@ -50,7 +49,7 @@ impl CellType {
 }
 
 /// A sized library cell in a given technology.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cell {
     /// Logic function.
     pub cell_type: CellType,
@@ -72,7 +71,7 @@ pub struct CellPorts {
 /// Quiescent drive state of a victim driver for noise analysis: which input
 /// carries the incoming glitch, what the other inputs are held at, and the
 /// resting level of the noisy input.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DriverMode {
     /// Index of the input that receives the propagating glitch.
     pub noisy_input: usize,

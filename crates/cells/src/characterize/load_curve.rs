@@ -10,7 +10,6 @@
 //! full non-linear restoring behavior, which the linear holding-resistance
 //! model cannot.
 
-use serde::{Deserialize, Serialize};
 use sna_spice::devices::{linspace, SourceWaveform, Table2d};
 use sna_spice::error::{Error, Result};
 use sna_spice::netlist::Circuit;
@@ -21,7 +20,7 @@ use crate::characterize::{driver_fixture, driver_output_caps, CharacterizeOption
 
 /// The characterized non-linear victim-driver model (paper Eq. 1) plus the
 /// lumped parasitics the cluster macromodel needs alongside it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoadCurve {
     /// `I_DC = f(V_in, V_out)`: current the cell sinks *from* its output
     /// node (A), on a `(V_in, V_out)` grid.

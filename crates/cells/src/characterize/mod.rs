@@ -26,7 +26,6 @@ pub use thevenin::{
     characterize_thevenin, characterize_thevenin_with, TheveninDriver, TheveninLoad,
 };
 
-use serde::{Deserialize, Serialize};
 use sna_spice::dc::NewtonOptions;
 use sna_spice::devices::SourceWaveform;
 use sna_spice::error::Result;
@@ -36,7 +35,7 @@ use sna_spice::solver::BackendKind;
 use crate::cell::{Cell, DriverMode};
 
 /// Controls for all characterization runs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CharacterizeOptions {
     /// Grid points per axis of the load-curve table (paper: "swept across
     /// the characterization range").

@@ -6,7 +6,6 @@
 //! §1.) This module builds exactly those tables — they power the
 //! linear-superposition baseline whose inaccuracy the paper demonstrates.
 
-use serde::{Deserialize, Serialize};
 use sna_spice::devices::{SourceWaveform, Table2d};
 use sna_spice::error::{Error, Result};
 use sna_spice::netlist::Circuit;
@@ -19,7 +18,7 @@ use crate::characterize::{driver_fixture, CharacterizeOptions};
 
 /// Propagated-noise characterization of one cell in one drive state:
 /// output-glitch descriptors on an (input height × input width) grid.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PropagatedNoiseTable {
     /// Output glitch peak magnitude (V) vs (height, width).
     pub peak: Table2d,

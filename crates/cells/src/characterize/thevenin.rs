@@ -25,7 +25,6 @@
 //! is bit-identical to a full-horizon run. The horizons stay as upper
 //! bounds: a run that never crosses fails as it always did.
 
-use serde::{Deserialize, Serialize};
 use sna_spice::dc::NewtonOptions;
 use sna_spice::devices::SourceWaveform;
 use sna_spice::error::{Error, Result};
@@ -37,7 +36,7 @@ use crate::cell::Cell;
 use crate::characterize::CharacterizeOptions;
 
 /// Load presented to the driver during characterization.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TheveninLoad {
     /// Single capacitor to ground (F).
     Lumped(f64),
@@ -86,7 +85,7 @@ impl TheveninLoad {
 }
 
 /// Linear Thevenin model of a switching aggressor driver.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TheveninDriver {
     /// Driving resistance (Ω).
     pub rth: f64,

@@ -10,12 +10,11 @@
 //! technology-shape-dependent, not parameter-exact, and survives this
 //! substitution.
 
-use serde::{Deserialize, Serialize};
 use sna_spice::devices::{MosPolarity, MosfetModel};
 use sna_spice::units::{NM, UM};
 
 /// Per-unit-length parasitics of a routing layer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MetalLayer {
     /// Layer name index (e.g. 4 for metal-4).
     pub level: u8,
@@ -29,7 +28,7 @@ pub struct MetalLayer {
 }
 
 /// A technology node: supply, device models, cell sizing, wire stack.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Technology {
     /// Human-readable name (`"cmos130"`, `"cmos90"`).
     pub name: String,

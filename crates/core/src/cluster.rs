@@ -15,7 +15,6 @@
 //! * victim driver → the non-linear VCCS `I_DC = f(V_in, V_out)` of Eq. (1)
 //!   plus its lumped output/Miller capacitances.
 
-use serde::{Deserialize, Serialize};
 use sna_cells::characterize::{
     characterize_load_curve, characterize_propagated_noise_with, characterize_thevenin_with,
     holding_resistance, prop_table, CharacterizeOptions, LoadCurve, PropagatedNoiseTable,
@@ -37,7 +36,7 @@ use sna_spice::units::PS;
 
 /// A triangular noise glitch arriving at the victim driver's input
 /// (propagated from an upstream stage).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InputGlitch {
     /// Magnitude of the excursion from the quiescent input level (V).
     pub height: f64,
@@ -70,7 +69,7 @@ impl InputGlitch {
 /// flop). A candidate alignment placing an aggressor edge that cannot
 /// overlap the victim's sensitivity window is infeasible and pruned
 /// before simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SwitchingWindow {
     /// Earliest event time (s).
     pub t_min: f64,
@@ -97,7 +96,7 @@ impl SwitchingWindow {
 }
 
 /// One aggressor of a cluster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AggressorSpec {
     /// Driver cell (e.g. an INV ×4).
     pub cell: Cell,
@@ -129,7 +128,7 @@ impl AggressorSpec {
 }
 
 /// The victim side of a cluster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VictimSpec {
     /// Victim driver cell (the paper uses a 2-input NAND).
     pub cell: Cell,
@@ -148,7 +147,7 @@ pub struct VictimSpec {
 }
 
 /// Full physical description of a noise cluster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSpec {
     /// Technology node (victim and aggressors must share it).
     pub tech: Technology,
@@ -231,7 +230,7 @@ impl ClusterSpec {
 }
 
 /// Port roles within the reduced interconnect model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PortRole {
     /// The victim driving point (`DP_Vic` in Figure 1).
     VictimDp,
@@ -243,7 +242,7 @@ pub enum PortRole {
 
 /// Modeling switches for [`ClusterMacromodel::build_with`] — the ablation
 /// knobs of DESIGN.md §5.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MacromodelOptions {
     /// Lump the victim driver's characterized output + Miller capacitance
     /// at `DP_Vic` (default). Disabling this is the classic source of

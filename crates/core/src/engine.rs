@@ -33,7 +33,7 @@
 //! `I`: the engine keeps the full Newton's iterates, damping and convergence
 //! test and only replaces its m×m solves. The whole system is a handful of unknowns,
 //! which is where the paper's speed-up over transistor-level simulation
-//! comes from (see `benches/golden_vs_macro.rs`).
+//! comes from (`sna-bench --bin speedup` measures it against golden).
 //!
 //! [`simulate_macromodel`] is the only integrator of the macromodel. The
 //! alignment search and FRAME call it once per timing assignment, on a

@@ -356,6 +356,31 @@ mod tests {
     }
 
     #[test]
+    fn window_and_mexcl_prune_the_same_cluster() {
+        // Aggressor 1's window straddles the end of the victim's
+        // sensitivity interval, so its late position dies at the window
+        // check and its early one conflicts with aggressor 0 via mexcl.
+        let mut spec = table2_spec();
+        spec.aggressors[0].mexcl_group = Some(1);
+        spec.aggressors[1].mexcl_group = Some(1);
+        spec.aggressors[0].window = Some(SwitchingWindow::new(0.3 * NS, 0.7 * NS));
+        spec.aggressors[1].window = Some(SwitchingWindow::new(0.9 * NS, 2.6 * NS));
+        spec.victim.sensitivity = Some(SwitchingWindow::new(0.0, 1.2 * NS));
+        let model = ClusterMacromodel::build(&spec).unwrap();
+        let n = nrc();
+        let pruned = constrained_worst_case(&model, &n, 2, false, Default::default()).unwrap();
+        let full = constrained_worst_case(&model, &n, 2, true, Default::default()).unwrap();
+        let c = &pruned.counters;
+        // {Off, 0.3, 0.7} × {Off, 0.9, 2.6}: the three with aggressor 1 at
+        // 2.6 ns miss the victim, the two with both switching violate
+        // mexcl, and four are simulated.
+        assert_eq!(c.considered, 9);
+        assert_eq!((c.pruned_window, c.pruned_mexcl, c.simulated), (3, 2, 4));
+        // Feasible ⊆ exhaustive: pruning never reports a worse margin.
+        assert!(pruned.margin >= full.margin);
+    }
+
+    #[test]
     fn mexcl_alone_kills_simultaneous_switching() {
         let mut spec = table2_spec();
         spec.aggressors[0].mexcl_group = Some(7);

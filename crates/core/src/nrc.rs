@@ -1,6 +1,6 @@
 //! Noise Rejection Curves (NRC).
 //!
-//! The sign-off criterion of §1: "the noise at the victim receiver is
+//! The sign-off test of §1: "the noise at the victim receiver is
 //! compared against dynamic noise margins, represented by the Noise
 //! Rejection Curve. When the noise waveform width and amplitude are in the
 //! NRC failure region (above the curve), the noise analysis tool flags an
@@ -17,7 +17,6 @@
 //! full horizon. The verdict, and with it every fail height, is the one
 //! the full-horizon run gives.
 
-use serde::{Deserialize, Serialize};
 use sna_cells::characterize::driver_fixture;
 use sna_cells::Cell;
 use sna_obs::{phase_span, Phase};
@@ -30,7 +29,7 @@ use sna_spice::waveform::GlitchMetrics;
 
 /// A characterized noise rejection curve for one receiver cell and input
 /// polarity.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NoiseRejectionCurve {
     /// Glitch widths (s), ascending.
     pub widths: Vec<f64>,

@@ -14,7 +14,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use sna_cells::{Cell, CellType, Technology};
 use sna_spice::error::Result;
 use sna_spice::units::{NS, PS};
@@ -31,7 +30,7 @@ use crate::nrc::NoiseRejectionCurve;
 use crate::scenarios::m4_bus;
 
 /// Sign-off classification of one victim net.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
     /// Comfortably below the rejection curve.
     Pass,
@@ -39,6 +38,20 @@ pub enum Verdict {
     MarginWarning,
     /// Above the curve: flagged as a functional failure risk.
     Fail,
+}
+
+impl Verdict {
+    /// The sign-off rule: a negative `margin` fails, one below
+    /// `guard_band` warns, anything else passes.
+    pub fn from_margin(margin: f64, guard_band: f64) -> Verdict {
+        if margin < 0.0 {
+            Verdict::Fail
+        } else if margin < guard_band {
+            Verdict::MarginWarning
+        } else {
+            Verdict::Pass
+        }
+    }
 }
 
 /// One named cluster in a synthetic design.
@@ -138,7 +151,7 @@ impl Design {
 }
 
 /// Flow controls.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SnaOptions {
     /// Run the worst-case alignment search per cluster (otherwise evaluate
     /// nominal timing only).
@@ -261,13 +274,7 @@ pub fn analyze_cluster(
     };
     let rm = waves.receiver.glitch_metrics(model.q_out);
     let margin = nrc.margin(rm.width, rm.peak);
-    let verdict = if margin < 0.0 {
-        Verdict::Fail
-    } else if margin < opts.margin_band {
-        Verdict::MarginWarning
-    } else {
-        Verdict::Pass
-    };
+    let verdict = Verdict::from_margin(margin, opts.margin_band);
     // Constrained (FRAME) pass: only clusters that carry constraints pay
     // for the enumeration; everything else reports pessimistic-only.
     let constrained = if cluster.spec.has_frame_constraints() {

@@ -18,7 +18,6 @@
 //! strongly non-linear clusters — which is exactly the residual −18 % /
 //! −20 % error the paper quotes for this approach.
 
-use serde::{Deserialize, Serialize};
 use sna_spice::devices::SourceWaveform;
 use sna_spice::error::Result;
 use sna_spice::waveform::Waveform;
@@ -28,7 +27,7 @@ use crate::engine::NoiseWaveforms;
 use crate::superposition::simulate_linear_cluster;
 
 /// Controls for the iterative-Thevenin baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ZolotovOptions {
     /// Number of linear re-simulations (the published flow used 1–2
     /// refinements after the initial holding-resistance pass).

@@ -26,7 +26,7 @@ use sna_spice::parser::{parse_deck_file, ParsedDeck, SnaCard};
 use sna_spice::tran::{transient_with, TranWorkspace};
 use sna_spice::waveform::GlitchMetrics;
 
-use crate::output::{num, verdict_tag};
+use crate::output::{csv_field, csv_num, num, verdict_tag};
 use crate::pool::parallel_map_ordered;
 
 /// Knobs for deck mode, mirroring the subset of CLI flags that apply.
@@ -129,6 +129,22 @@ fn case_name(card: &SnaCard) -> String {
     card.name.clone().unwrap_or_else(|| card.victim.clone())
 }
 
+/// Hold aggressor source `src` of case `name` at its t = 0 value.
+fn freeze_aggressor(circuit: &mut Circuit, name: &str, src: &str) -> Result<()> {
+    let id = circuit.find_element(src).ok_or_else(|| {
+        Error::InvalidAnalysis(format!("case '{name}': unknown aggressor source '{src}'"))
+    })?;
+    let v0 = match circuit.element(id) {
+        Element::VSource { wave, .. } | Element::ISource { wave, .. } => wave.eval(0.0),
+        _ => {
+            return Err(Error::InvalidAnalysis(format!(
+                "case '{name}': aggressor '{src}' is not a V or I source"
+            )))
+        }
+    };
+    circuit.set_source_wave(src, SourceWaveform::Dc(v0))
+}
+
 fn analyze_case(parsed: &ParsedDeck, card: &SnaCard, opts: &DeckOptions) -> Result<DeckFinding> {
     let name = case_name(card);
     let circuit = &parsed.circuit;
@@ -203,36 +219,16 @@ fn analyze_case(parsed: &ParsedDeck, card: &SnaCard, opts: &DeckOptions) -> Resu
     // difference between the runs isolates the noise they inject.
     let mut quiet = circuit.clone();
     for aggr in &card.aggressors {
-        let id = quiet.find_element(aggr).ok_or_else(|| {
-            Error::InvalidAnalysis(format!("case '{name}': unknown aggressor source '{aggr}'"))
-        })?;
-        let v0 = match quiet.element(id) {
-            Element::VSource { wave, .. } | Element::ISource { wave, .. } => wave.eval(0.0),
-            _ => {
-                return Err(Error::InvalidAnalysis(format!(
-                    "case '{name}': aggressor '{aggr}' is not a V or I source"
-                )))
-            }
-        };
-        quiet.set_source_wave(aggr, SourceWaveform::Dc(v0))?;
+        freeze_aggressor(&mut quiet, &name, aggr)?;
     }
 
     // The noisy run: the pruned aggressors are frozen here too, removing
-    // their contribution from the difference.
+    // their contribution from the difference. Each one matches an entry of
+    // the aggressor list (case-insensitively, as element lookup does), so
+    // the loop above has already resolved it.
     let mut noisy = circuit.clone();
     for src in &pruned {
-        let id = noisy.find_element(src).ok_or_else(|| {
-            Error::InvalidAnalysis(format!("case '{name}': unknown constrained source '{src}'"))
-        })?;
-        let v0 = match noisy.element(id) {
-            Element::VSource { wave, .. } | Element::ISource { wave, .. } => wave.eval(0.0),
-            _ => {
-                return Err(Error::InvalidAnalysis(format!(
-                    "case '{name}': constrained source '{src}' is not a V or I source"
-                )))
-            }
-        };
-        noisy.set_source_wave(src, SourceWaveform::Dc(v0))?;
+        freeze_aggressor(&mut noisy, &name, src)?;
     }
 
     let ics = parsed.resolve_ics();
@@ -245,13 +241,6 @@ fn analyze_case(parsed: &ParsedDeck, card: &SnaCard, opts: &DeckOptions) -> Resu
     let noise = noisy.sub(&still);
     let metrics = GlitchMetrics::from_waveform(&noise, 0.0);
     let margin = threshold - metrics.peak;
-    let verdict = if margin < 0.0 {
-        Verdict::Fail
-    } else if margin < opts.guard_band {
-        Verdict::MarginWarning
-    } else {
-        Verdict::Pass
-    };
     Ok(DeckFinding {
         name,
         victim: card.victim.clone(),
@@ -259,7 +248,7 @@ fn analyze_case(parsed: &ParsedDeck, card: &SnaCard, opts: &DeckOptions) -> Resu
         threshold,
         metrics,
         margin,
-        verdict,
+        verdict: Verdict::from_margin(margin, opts.guard_band),
     })
 }
 
@@ -437,6 +426,8 @@ pub fn deck_to_json(report: &DeckReport) -> String {
 }
 
 /// CSV deck report: one row per case, skips flagged in the verdict column.
+/// Fields are written as the flow CSV writes them: text quoted when it
+/// holds a delimiter, non-finite numbers empty.
 pub fn deck_to_csv(report: &DeckReport) -> String {
     let mut out = String::from(
         "case,victim,aggressors,threshold_v,peak_v,polarity,peak_time_s,width_s,area_vs,margin_v,verdict\n",
@@ -444,21 +435,21 @@ pub fn deck_to_csv(report: &DeckReport) -> String {
     for f in &report.findings {
         out.push_str(&format!(
             "{},{},{},{},{},{},{},{},{},{},{}\n",
-            f.name,
-            f.victim,
-            f.aggressors.join(";"),
-            num(f.threshold),
-            num(f.metrics.peak),
-            num(f.metrics.polarity),
-            num(f.metrics.peak_time),
-            num(f.metrics.width),
-            num(f.metrics.area),
-            num(f.margin),
+            csv_field(&f.name),
+            csv_field(&f.victim),
+            csv_field(&f.aggressors.join(";")),
+            csv_num(f.threshold),
+            csv_num(f.metrics.peak),
+            csv_num(f.metrics.polarity),
+            csv_num(f.metrics.peak_time),
+            csv_num(f.metrics.width),
+            csv_num(f.metrics.area),
+            csv_num(f.margin),
             verdict_tag(f.verdict),
         ));
     }
     for s in &report.skipped {
-        out.push_str(&format!("{},,,,,,,,,,skipped\n", s.name));
+        out.push_str(&format!("{},,,,,,,,,,skipped\n", csv_field(&s.name)));
     }
     out
 }
@@ -615,6 +606,39 @@ Rb vic_in 0 1k
         assert_eq!(deck_to_json(&r1), deck_to_json(&r4));
         assert_eq!(deck_to_text(&r1), deck_to_text(&r4));
         assert_eq!(deck_to_csv(&r1), deck_to_csv(&r4));
+    }
+
+    #[test]
+    fn csv_rows_keep_the_header_width() {
+        // Fields of one CSV line, counting commas outside quotes.
+        let fields = |line: &str| {
+            let mut quoted = false;
+            1 + line
+                .chars()
+                .filter(|&c| {
+                    if c == '"' {
+                        quoted = !quoted;
+                    }
+                    c == ',' && !quoted
+                })
+                .count()
+        };
+        // A CLI victim with a comma in its name is skipped under that name.
+        let bare = COUPLED.replace(".sna victim=vic aggressors=Va threshold=0.4 name=pair", "");
+        let mut o = opts();
+        o.victim = Some("a,b".to_string());
+        o.threshold = Some(0.5);
+        let skipped = run_deck(&parse_deck(&bare).unwrap(), "t.cir", &o).unwrap();
+        assert_eq!(skipped.skipped.len(), 1);
+        let analyzed = run_deck(&parse_deck(COUPLED).unwrap(), "mem", &opts()).unwrap();
+        for report in [&skipped, &analyzed] {
+            let csv = deck_to_csv(report);
+            assert_eq!(csv.lines().count(), 2, "{csv}");
+            for line in csv.lines() {
+                assert_eq!(fields(line), 11, "{line}");
+            }
+        }
+        assert!(deck_to_csv(&skipped).ends_with("\"a,b\",,,,,,,,,,skipped\n"));
     }
 
     #[test]

@@ -142,7 +142,7 @@ pub fn to_json(run: &RunSummary) -> String {
 
 /// A string as a CSV field: quoted (with doubled inner quotes) only when
 /// it contains a delimiter, quote, or newline.
-fn csv_field(s: &str) -> String {
+pub(crate) fn csv_field(s: &str) -> String {
     if s.contains([',', '"', '\n', '\r']) {
         format!("\"{}\"", s.replace('"', "\"\""))
     } else {
@@ -152,7 +152,7 @@ fn csv_field(s: &str) -> String {
 
 /// A float as a CSV numeric field: empty when non-finite, matching the
 /// skipped-row convention for missing values (JSON uses `null` instead).
-fn csv_num(v: f64) -> String {
+pub(crate) fn csv_num(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {

@@ -8,7 +8,6 @@
 //! the distributed line; the golden reference uses it directly, and the MOR
 //! crate reduces it.
 
-use serde::{Deserialize, Serialize};
 use sna_spice::error::{Error, Result};
 use sna_spice::netlist::{Circuit, NodeId};
 
@@ -26,7 +25,7 @@ pub struct WireNodes {
 }
 
 /// A bus of parallel wires with couplings, ready to instantiate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CoupledBus {
     /// The wires, index order defines tap naming.
     pub wires: Vec<WireGeom>,

@@ -7,10 +7,8 @@
 //! stack), and parallel runs couple through a per-meter coupling
 //! capacitance scaled by their overlap fraction.
 
-use serde::{Deserialize, Serialize};
-
 /// Electrical geometry of one routed net segment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WireGeom {
     /// Routed length (m).
     pub length: f64,
@@ -49,7 +47,7 @@ impl WireGeom {
 }
 
 /// A capacitive coupling between two parallel wires of a bus.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CouplingGeom {
     /// Index of the first wire.
     pub a: usize,

@@ -3,11 +3,11 @@
 //! The interconnect of a noise cluster "is modeled at the driving points
 //! […] represented by a coupled-Σ model, which can be obtained with
 //! moment-matching techniques" (Forzan & Pandini §2, citing their CICC'98
-//! work). This crate provides that machinery three ways:
+//! work). This crate provides that machinery:
 //!
 //! * [`moments`] — block admittance moments of an N-port RC network;
-//! * [`pi_model`] / [`coupled_pi`] — the classic O'Brien–Savarino Π and its
-//!   coupled multiport extension (cheap, first-moment-exact);
+//! * [`pi_model`] — the classic O'Brien–Savarino Π of one driving point
+//!   (the load each aggressor's Thevenin fit sees);
 //! * [`prima`] — block-Arnoldi congruence projection keeping every driving
 //!   point *and* receiver tap as a port (the reduction the noise engine in
 //!   `sna-core` integrates).
@@ -31,19 +31,16 @@
 
 #![warn(missing_docs)]
 
-pub mod coupled_pi;
 pub mod moments;
 pub mod pi_model;
 pub mod prima;
 
-pub use coupled_pi::CoupledPiModel;
 pub use moments::port_admittance_moments;
 pub use pi_model::{pi_from_network, PiModel};
 pub use prima::{prima_reduce, prima_reduce_with, ReducedSystem, DEFAULT_Q, DEFAULT_S0};
 
 /// Convenient glob-import surface.
 pub mod prelude {
-    pub use crate::coupled_pi::CoupledPiModel;
     pub use crate::moments::port_admittance_moments;
     pub use crate::pi_model::{pi_from_network, PiModel};
     pub use crate::prima::{prima_reduce, prima_reduce_with, ReducedSystem, DEFAULT_Q, DEFAULT_S0};

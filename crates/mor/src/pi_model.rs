@@ -8,16 +8,15 @@
 //!   C2 = y2² / y3,   R = −y3² / y2³,   C1 = y1 − C2
 //! ```
 //!
-//! This is the per-net building block of the classic coupled-Π noise model
-//! and the cheap alternative (ablation #2 in DESIGN.md) to the projection
-//! reduction in [`crate::prima`].
+//! The cluster macromodel fits one per aggressor driving point, as the load
+//! of that aggressor's Thevenin characterization; the noise engine itself
+//! integrates the projection reduction in [`crate::prima`].
 
-use serde::{Deserialize, Serialize};
 use sna_spice::error::{Error, Result};
 use sna_spice::netlist::{Circuit, NodeId};
 
 /// Three-element Π driving-point model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PiModel {
     /// Capacitance at the driving point (F).
     pub c_near: f64,

@@ -9,7 +9,6 @@
 //! (victim driving point, aggressor driving points, receiver taps) visible
 //! to the non-linear noise engine.
 
-use serde::{Deserialize, Serialize};
 use sna_spice::error::{Error, Result};
 use sna_spice::linalg::{DenseMatrix, LuFactors};
 use sna_spice::mna::MnaSystem;
@@ -60,7 +59,7 @@ impl ShiftedFactor {
 
 /// Reduced multiport RC system `Ĉ·ẋ + Ĝ·x = B̂·u`, `y = B̂ᵀ·x`, where `u`
 /// are port current injections and `y` the port voltages.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReducedSystem {
     /// Reduced conductance matrix (m × m).
     pub g: DenseMatrix,
@@ -97,65 +96,6 @@ impl ReducedSystem {
             *yp = acc;
         }
         y
-    }
-
-    /// Simulate the *linear* reduced system with trapezoidal integration.
-    /// `inject(t)` returns the port current injections (A, into the port);
-    /// returns the port-voltage series sampled at each step, starting at
-    /// `t = 0` with zero initial state.
-    ///
-    /// The non-linear noise engine in `sna-core` extends this loop with a
-    /// Newton iteration; this linear version backs the superposition
-    /// baseline and the MOR accuracy tests.
-    ///
-    /// # Errors
-    ///
-    /// Fails on a singular step matrix or non-positive step/horizon.
-    pub fn simulate_linear<F: FnMut(f64) -> Vec<f64>>(
-        &self,
-        mut inject: F,
-        dt: f64,
-        t_stop: f64,
-    ) -> Result<(Vec<f64>, Vec<Vec<f64>>)> {
-        if !(dt > 0.0 && t_stop > dt) {
-            return Err(Error::InvalidAnalysis(format!(
-                "bad reduced-transient window: dt={dt}, t_stop={t_stop}"
-            )));
-        }
-        let m = self.dim();
-        let n_steps = (t_stop / dt).round() as usize;
-        let alpha = 2.0 / dt;
-        // LHS = G + alpha C ; RHS uses (alpha C - G).
-        let mut lhs = DenseMatrix::zeros(m, m);
-        lhs.axpy(1.0, &self.g);
-        lhs.axpy(alpha, &self.c);
-        let lu = lhs.lu()?;
-        let mut rhs_mat = DenseMatrix::zeros(m, m);
-        rhs_mat.axpy(-1.0, &self.g);
-        rhs_mat.axpy(alpha, &self.c);
-        let mut x = vec![0.0; m];
-        let mut u_prev = inject(0.0);
-        let mut times = Vec::with_capacity(n_steps + 1);
-        let mut ys = Vec::with_capacity(n_steps + 1);
-        times.push(0.0);
-        ys.push(self.port_voltages(&x));
-        for k in 1..=n_steps {
-            let t = k as f64 * dt;
-            let u = inject(t);
-            let mut rhs = rhs_mat.mul_vec(&x);
-            for (i, ri) in rhs.iter_mut().enumerate().take(m) {
-                let mut acc = 0.0;
-                for (p, (up, upr)) in u.iter().zip(&u_prev).enumerate() {
-                    acc += self.b[(i, p)] * (up + upr);
-                }
-                *ri += acc;
-            }
-            x = lu.solve(&rhs);
-            times.push(t);
-            ys.push(self.port_voltages(&x));
-            u_prev = u;
-        }
-        Ok((times, ys))
     }
 }
 
@@ -335,6 +275,60 @@ mod tests {
     use sna_spice::devices::SourceWaveform;
     use sna_spice::tran::{transient, TranParams};
     use sna_spice::units::{NS, PS, UM};
+
+    impl ReducedSystem {
+        /// Simulate the *linear* reduced system with trapezoidal integration.
+        /// `inject(t)` returns the port current injections (A, into the port);
+        /// returns the port-voltage series sampled at each step, starting at
+        /// `t = 0` with zero initial state. Fails on a singular step matrix or
+        /// non-positive step/horizon.
+        fn simulate_linear<F: FnMut(f64) -> Vec<f64>>(
+            &self,
+            mut inject: F,
+            dt: f64,
+            t_stop: f64,
+        ) -> Result<(Vec<f64>, Vec<Vec<f64>>)> {
+            if !(dt > 0.0 && t_stop > dt) {
+                return Err(Error::InvalidAnalysis(format!(
+                    "bad reduced-transient window: dt={dt}, t_stop={t_stop}"
+                )));
+            }
+            let m = self.dim();
+            let n_steps = (t_stop / dt).round() as usize;
+            let alpha = 2.0 / dt;
+            // LHS = G + alpha C ; RHS uses (alpha C - G).
+            let mut lhs = DenseMatrix::zeros(m, m);
+            lhs.axpy(1.0, &self.g);
+            lhs.axpy(alpha, &self.c);
+            let lu = lhs.lu()?;
+            let mut rhs_mat = DenseMatrix::zeros(m, m);
+            rhs_mat.axpy(-1.0, &self.g);
+            rhs_mat.axpy(alpha, &self.c);
+            let mut x = vec![0.0; m];
+            let mut u_prev = inject(0.0);
+            let mut times = Vec::with_capacity(n_steps + 1);
+            let mut ys = Vec::with_capacity(n_steps + 1);
+            times.push(0.0);
+            ys.push(self.port_voltages(&x));
+            for k in 1..=n_steps {
+                let t = k as f64 * dt;
+                let u = inject(t);
+                let mut rhs = rhs_mat.mul_vec(&x);
+                for (i, ri) in rhs.iter_mut().enumerate().take(m) {
+                    let mut acc = 0.0;
+                    for (p, (up, upr)) in u.iter().zip(&u_prev).enumerate() {
+                        acc += self.b[(i, p)] * (up + upr);
+                    }
+                    *ri += acc;
+                }
+                x = lu.solve(&rhs);
+                times.push(t);
+                ys.push(self.port_voltages(&x));
+                u_prev = u;
+            }
+            Ok((times, ys))
+        }
+    }
 
     fn paper_bus(segments: usize) -> (Circuit, Vec<WireNodes>) {
         let w = WireGeom::new(500.0 * UM, 0.2e6, 40e-12);

@@ -8,7 +8,6 @@
 //! warm-started from a neighbour's solution: that is what makes the 33×33
 //! load-curve characterization grids (paper Eq. 1) cheap.
 
-use serde::{Deserialize, Serialize};
 use sna_obs::{count, phase_span, Metric, Phase};
 
 use crate::error::{Error, Result};
@@ -17,7 +16,7 @@ use crate::netlist::{Circuit, NodeId};
 use crate::solver::{SolverKind, SystemSolver};
 
 /// Newton iteration controls shared by DC and transient analyses.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NewtonOptions {
     /// Maximum iterations before declaring non-convergence.
     pub max_iter: usize,
@@ -50,7 +49,7 @@ impl Default for NewtonOptions {
 }
 
 /// Solution of a DC operating-point analysis.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DcSolution {
     x: Vec<f64>,
     /// Unknown index of each vsource's branch current, parallel to

@@ -7,8 +7,6 @@
 //! overflow to `inf`/`NaN` — the same robustness trick production
 //! simulators use (SPICE3's `EXPLIM`).
 
-use serde::{Deserialize, Serialize};
-
 /// Thermal voltage kT/q at 300 K (V).
 pub const VT_300K: f64 = 0.025851;
 
@@ -17,7 +15,7 @@ pub const VT_300K: f64 = 0.025851;
 const EXP_CAP: f64 = 40.0;
 
 /// Junction diode model card (`.model <name> d is=... n=... cj0=...`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiodeModel {
     /// Saturation current (A); must be positive.
     pub is: f64,

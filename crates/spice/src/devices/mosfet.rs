@@ -9,10 +9,8 @@
 //! strong-inversion characteristics (the non-linearity the paper's
 //! macromodel feeds on) essentially untouched.
 
-use serde::{Deserialize, Serialize};
-
 /// Channel polarity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MosPolarity {
     /// N-channel device.
     Nmos,
@@ -23,7 +21,7 @@ pub enum MosPolarity {
 /// Level-1 model card (per-technology, per-polarity).
 ///
 /// Units: SI. `vt0` is signed like in SPICE (negative for PMOS).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MosfetModel {
     /// Channel polarity.
     pub polarity: MosPolarity,

@@ -6,12 +6,10 @@
 //! injected as [`SourceWaveform::TriangleGlitch`] or arbitrary
 //! [`SourceWaveform::Sampled`] waveforms.
 
-use serde::{Deserialize, Serialize};
-
 use crate::waveform::Waveform;
 
 /// Value of an independent voltage/current source as a function of time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SourceWaveform {
     /// Constant value.
     Dc(f64),

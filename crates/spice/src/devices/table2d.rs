@@ -7,8 +7,6 @@
 //! `∂f/∂V_out` is returned analytically so Newton iterations get an exact
 //! Jacobian within each grid cell.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{Error, Result};
 
 /// Rectangular-grid bilinear lookup table `z = f(x, y)`.
@@ -30,7 +28,7 @@ use crate::error::{Error, Result};
 /// assert!((e.dz_dx - 1.0).abs() < 1e-12);
 /// assert!((e.dz_dy - 2.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table2d {
     x_axis: Vec<f64>,
     y_axis: Vec<f64>,

@@ -17,8 +17,6 @@
 //! the index-based kernel it replaced, which its tests keep as an oracle:
 //! factors, permutations, solutions and singular pivots agree bit for bit.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{Error, Result};
 
 /// The fundamental MNA "stamp" sink: anything that can accumulate
@@ -65,7 +63,7 @@ impl MatrixStamp for DenseMatrix {
 }
 
 /// Row-major dense matrix of `f64`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DenseMatrix {
     n_rows: usize,
     n_cols: usize,

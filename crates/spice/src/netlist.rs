@@ -7,13 +7,11 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::devices::{DiodeModel, MosfetModel, SourceWaveform, Table2d};
 use crate::error::{Error, Result};
 
 /// Handle to a circuit node. `NodeId::GROUND` is the reference node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub(crate) usize);
 
 impl NodeId {
@@ -32,11 +30,11 @@ impl NodeId {
 }
 
 /// Handle to an element within a [`Circuit`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ElementId(pub(crate) usize);
 
 /// A circuit element.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Element {
     /// Linear resistor between `a` and `b`.
     Resistor {
@@ -252,10 +250,9 @@ impl Element {
 /// ckt.add_capacitor("C1", out, Circuit::gnd(), 1e-12).unwrap();
 /// assert_eq!(ckt.node_count(), 3); // including ground
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Circuit {
     node_names: Vec<String>,
-    #[serde(skip)]
     node_index: HashMap<String, usize>,
     elements: Vec<Element>,
 }

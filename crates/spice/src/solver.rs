@@ -19,7 +19,6 @@
 //! Newton loops call the solver millions of times per characterization,
 //! and one atomic update per call would show in their profile.
 
-use serde::{Deserialize, Serialize};
 use sna_obs::{count, phase_span, Metric, Phase};
 
 use crate::error::Result;
@@ -30,11 +29,12 @@ use crate::sparse::{SparseLu, SparseMatrix, Symbolic};
 /// Unknown count at and above which [`SolverKind::Auto`] picks the sparse
 /// backend. Below it, dense LU's contiguous inner loops win; above it, the
 /// O(n³)/O(n²) dense costs take over. The crossover was measured on the
-/// segmented coupled-bus sweep in `benches/solver.rs`.
+/// segmented coupled-bus sweep of `sna-bench --bin solver_sweep`, whose
+/// medians are checked in as `BENCH_solver.json`.
 pub const SPARSE_AUTO_THRESHOLD: usize = 96;
 
 /// Which linear-solver backend an analysis should use.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SolverKind {
     /// Pick by dimension: dense below [`SPARSE_AUTO_THRESHOLD`] unknowns,
     /// sparse at or above it.
@@ -201,8 +201,10 @@ impl SystemSolver {
     }
 
     /// Set the integration coefficient: the base matrix becomes
-    /// `G + α·C` (`α = 0` for DC). Changing `α` invalidates the sparse
-    /// pivot sequence, so the next factorization is cold.
+    /// `G + α·C` (`α = 0` for DC). The sparse backend keeps its stored
+    /// pivot sequence, so the next [`SystemSolver::factor_jacobian`]
+    /// replays it as a numeric refactor; only a pivot that collapses under
+    /// the new values makes it fall back to a cold factor.
     pub fn set_alpha(&mut self, alpha: f64) {
         if alpha == self.alpha {
             return;
@@ -222,14 +224,12 @@ impl SystemSolver {
                 for ((b, &gv), &cv) in base_vals.iter_mut().zip(g_vals.iter()).zip(c_vals.iter()) {
                     *b = gv + alpha * cv;
                 }
-                // The stored pivot sequence stays: α only rescales the
-                // capacitive part of a diagonally-dominant MNA matrix, so
-                // the next [`SystemSolver::factor_jacobian`] replays it as
-                // a numeric refactor (a transient after a DC solve on one
-                // workspace switches α from 0). A pivot that does collapse
-                // under the new values makes `refactor` report singular,
-                // and `factor_jacobian` falls back to a cold factor with a
-                // fresh pivot search.
+                // The stored pivot sequence stays valid because α only
+                // rescales the capacitive part of a diagonally-dominant MNA
+                // matrix (a transient after a DC solve on one workspace
+                // switches α from 0). A pivot that does collapse makes
+                // `refactor` report singular, and `factor_jacobian` then
+                // runs a cold factor with a fresh pivot search.
             }
         }
     }

@@ -32,7 +32,6 @@
 //! iterations, and the solver's factorizations and solves (the DC initial
 //! condition included).
 
-use serde::{Deserialize, Serialize};
 use sna_obs::{count, phase_span, Metric, Phase};
 
 use crate::dc::{dc_operating_point_with, DcSolution, NewtonOptions};
@@ -47,7 +46,7 @@ use crate::waveform::Waveform;
 pub mod oracle;
 
 /// Transient analysis parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TranParams {
     /// Simulation end time (s); starts at 0.
     pub t_stop: f64,
@@ -76,7 +75,7 @@ impl TranParams {
 
 /// Result of a transient analysis: every node voltage and every
 /// voltage-source branch current at every time point.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TranResult {
     times: Vec<f64>,
     /// `traces[n][k]` = voltage of node (n+1) at time k.

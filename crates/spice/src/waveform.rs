@@ -6,8 +6,6 @@
 //! exchanged as waveforms, and compared through [`GlitchMetrics`] — the
 //! peak / width / area numbers the paper reports in its tables.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{Error, Result};
 
 /// A piecewise-linear sampled signal: strictly increasing times, one value
@@ -22,7 +20,7 @@ use crate::error::{Error, Result};
 /// assert_eq!(w.value_at(0.5), 1.0);
 /// assert_eq!(w.value_at(-1.0), 0.0); // clamped to first sample
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Waveform {
     times: Vec<f64>,
     values: Vec<f64>,
@@ -252,7 +250,7 @@ impl Waveform {
 ///   the direction;
 /// * `width` — time spent beyond 50 % of the peak deviation (seconds);
 /// * `area` — ∫ |v(t) − baseline| dt (volt·seconds; the tables print V·ps).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GlitchMetrics {
     /// Peak deviation from the baseline, in volts (always non-negative).
     pub peak: f64,
@@ -364,7 +362,7 @@ impl GlitchMetrics {
 }
 
 /// Relative error of one glitch estimate against a golden reference (%).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GlitchError {
     /// Peak error in percent (negative = underestimate).
     pub peak_pct: f64,

@@ -14,14 +14,14 @@
 //!   holding resistance, Dartu–Pileggi Thevenin drivers, propagated-noise
 //!   tables);
 //! * [`interconnect`] — geometry-driven coupled distributed-RC ladders;
-//! * [`mor`] — moment matching, coupled-Π, and PRIMA-style reduction (the
-//!   "coupled-S" driving-point model);
+//! * [`mor`] — moment matching, the single-net Π model, and PRIMA-style
+//!   reduction (the "coupled-S" driving-point model);
 //! * [`core`] — the paper's contribution plus the linear-superposition and
 //!   iterative-Thevenin baselines, NRC sign-off, worst-case alignment, and
 //!   a complete SNA flow;
 //! * [`flow`] — the parallel full-chip subsystem: an order-preserving
-//!   worker pool, a shared (sharded, lock-striped) characterization cache,
-//!   multi-corner sweeps, and the `sna` CLI with JSON/CSV reports.
+//!   worker pool, a shared characterization library with an on-disk
+//!   cache, multi-corner sweeps, and the `sna` CLI with JSON/CSV reports.
 //!
 //! ## Quickstart
 //!
@@ -39,8 +39,9 @@
 //! # }
 //! ```
 //!
-//! See `examples/` for runnable scenarios and `DESIGN.md` / `EXPERIMENTS.md`
-//! for the paper-reproduction methodology.
+//! See `examples/` for runnable scenarios, the `sna-bench` binaries for the
+//! paper's tables and speed-up, and `perfbench/` for end-to-end and
+//! per-layer performance.
 
 #![warn(missing_docs)]
 

@@ -1,11 +1,13 @@
 //! Integration test of the persistent characterization cache: a warm run
 //! against an `sna-libcache-v1` file must perform zero characterization
 //! work (counter-verified per artifact kind) and produce a byte-identical
-//! report.
+//! report, and a serve session opened on that file re-analyzes only what
+//! an edit touches.
 
 use sna::core::library::ALL_ARTIFACT_KINDS;
 use sna::flow::cache::{load_library_cache, save_library_cache};
 use sna::flow::cli::{run, CliConfig, Format, LogLevel};
+use sna::flow::serve::ServeState;
 use sna::prelude::*;
 
 fn scratch(name: &str) -> std::path::PathBuf {
@@ -108,5 +110,33 @@ fn cli_round_trip_reports_are_byte_identical() {
     assert!(path.exists());
     let warm = run(&cfg).expect("warm CLI run");
     assert_eq!(cold, warm, "--library-cache changed the report");
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn serve_on_a_warm_cache_reanalyzes_only_the_edited_cluster() {
+    let path = scratch("serve.libcache");
+    std::fs::remove_file(&path).ok();
+    let cfg = CliConfig {
+        clusters: 3,
+        threads: 1,
+        log_level: LogLevel::Quiet,
+        library_cache: Some(path.display().to_string()),
+        ..Default::default()
+    };
+    run(&cfg).expect("cold CLI run writes the cache");
+    let mut state = ServeState::new(&cfg).expect("serve session");
+    let r = state.handle_line(r#"{"cmd": "analyze"}"#);
+    assert!(r.contains("\"analyzed\": 3"), "{r}");
+    let stats = state.library().stats();
+    assert_eq!(stats.misses, 0, "warm session characterized: {stats:?}");
+    assert!(stats.disk_hits > 0, "warm session never touched the cache");
+    let r = state.handle_line(
+        r#"{"cmd": "edit", "cluster": "net000", "aggressor": 0, "input_slew": 6.1e-11}"#,
+    );
+    assert!(r.contains("\"ok\": true"), "{r}");
+    let r = state.handle_line(r#"{"cmd": "analyze"}"#);
+    assert!(r.contains("\"analyzed\": 1"), "{r}");
+    assert!(r.contains("\"memo_hits\": 2"), "{r}");
     std::fs::remove_file(&path).ok();
 }
